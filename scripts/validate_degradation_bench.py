@@ -3,7 +3,7 @@
 
 The degradation bench emits one row per permanent bank-failure rate so
 the availability / throughput-vs-fault-rate curves stay
-machine-comparable across PRs. CI runs this after the --smoke campaign
+machine-comparable across PRs. ctest runs this after the --smoke campaign
 to catch schema drift (a renamed key silently breaks trend tooling)
 and semantic nonsense: an availability outside [0, 1], a cell that
 quarantined more banks than failed, a clean cell that migrated, a

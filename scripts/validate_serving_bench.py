@@ -3,7 +3,7 @@
 
 The serving bench emits one row per offered-load point so the
 throughput-vs-latency (p50/p99) curves stay machine-comparable across
-PRs. CI runs this after the --smoke sweep to catch schema drift and
+PRs. ctest runs this after the --smoke sweep to catch schema drift and
 semantic nonsense: a utilization outside [0, 1], p99 below p50, rows
 out of offered-load order, more completions than admissions, or a
 saturated sweep whose cross-trace GPU<->PIM overlap no longer beats

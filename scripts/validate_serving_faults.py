@@ -3,7 +3,7 @@
 
 The chaos bench sweeps fault scenarios x offered load with the full
 SLO stack (deadline classes, per-tenant rate limiting, priority
-preemption, mid-serve degradation re-pricing). CI runs this after the
+preemption, mid-serve degradation re-pricing). ctest runs this after the
 --smoke sweep to gate the §16/§17 acceptance criteria:
 
   1. goodput_floor_ratio >= 0.8 — goodput with BER + one quarantined

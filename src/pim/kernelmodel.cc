@@ -87,179 +87,188 @@ chunkPeriodCycles(const DramTiming &timing, double clockGHz,
                     static_cast<int>(std::ceil(cadence / timing.tCkNs)));
 }
 
-} // namespace
+/** What both variants derive from the layout and the config before
+ *  pricing one instruction. */
+struct KernelShape {
+    /** Chunk granularity G; 0 when the buffer cannot hold one chunk of
+     *  every region (instruction unsupported). */
+    size_t g = 0;
+    size_t chunksPerBank = 0;
+    size_t iterations = 0;
+    size_t limbBatches = 0;
+    /** ACTs per phase under column partitioning. */
+    size_t actsPerPhase = 0;
+    /** Per-chunk stretch from quarantined MMAC lanes. */
+    double laneFactor = 1.0;
+};
 
-PimExecStats
-PimKernelModel::executeNearBank(const PimInstrProfile &profile,
-                                size_t limbs, size_t n) const
+KernelShape
+kernelShape(const DramConfig &dram, const PimConfig &pim,
+            const PimInstrProfile &profile, size_t limbs, size_t n)
 {
-    PimExecStats stats;
-    ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, n, 8,
-                                 pim_.offlineBanks);
-    const size_t chunksPerBank = layout.chunksPerBankPerLimb();
-    size_t g = pim_.bufferEntries / profile.bufferRegions;
-    if (g == 0) {
-        stats.supported = false;
-        return stats;
-    }
+    KernelShape shape;
+    ColumnPartitionLayout layout(dram, pim.banksPerDieGroup, n, 8,
+                                 pim.offlineBanks);
+    shape.chunksPerBank = layout.chunksPerBankPerLimb();
+    const size_t g = pim.bufferEntries / profile.bufferRegions;
+    if (g == 0)
+        return shape;
     // The chunk granularity cannot exceed the chunks a bank holds.
-    g = std::min(g, chunksPerBank);
-    stats.chunkGranularity = g;
-    const size_t iterations = (chunksPerBank + g - 1) / g;
+    shape.g = std::min(g, shape.chunksPerBank);
+    shape.iterations = (shape.chunksPerBank + shape.g - 1) / shape.g;
     // Limbs are distributed across die groups; each group processes its
     // share sequentially, all banks of the group in lockstep.
-    const size_t limbBatches =
-        (limbs + pim_.dieGroups - 1) / pim_.dieGroups;
-
+    shape.limbBatches = (limbs + pim.dieGroups - 1) / pim.dieGroups;
+    shape.actsPerPhase = layout.actsPerIteration(1, pim.columnPartition);
     // Dead MMAC lanes stretch the per-chunk processing time: the
     // surviving lanes serialize the missing lanes' multiplies.
-    const double laneFactor = static_cast<double>(pim_.lanes) /
-                              static_cast<double>(pim_.healthyLanes());
-    DramTiming timing = dram_.timing;
-    timing.tCCD = chunkPeriodCycles(dram_.timing, pim_.clockGHz,
-                                    profile.mmacPerChunk * laneFactor);
+    shape.laneFactor = static_cast<double>(pim.lanes) /
+                       static_cast<double>(pim.healthyLanes());
+    return shape;
+}
+
+/** Banks that still switch, and the chunks, bytes and MMACs that cross
+ *  them: the energy inputs both variants share. */
+struct Traffic {
+    double banks = 0.0;
+    double chunksMoved = 0.0;
+    double bytesMoved = 0.0;
+    double mmacs = 0.0;
+};
+
+Traffic
+traffic(const DramConfig &dram, const PimConfig &pim,
+        const PimInstrProfile &profile, double chunksPerBankTotal)
+{
+    Traffic traffic;
+    // Only the healthy banks still switch; quarantined ones idle.
+    traffic.banks = static_cast<double>(pim.healthyBanksPerDieGroup()) *
+                    pim.dieGroups;
+    traffic.chunksMoved = chunksPerBankTotal * traffic.banks;
+    traffic.bytesMoved = traffic.chunksMoved * dram.chunkBytes;
+    traffic.mmacs = traffic.chunksMoved * pim.lanes *
+                    profile.mmacPerChunk;
+    return traffic;
+}
+
+PimExecStats
+executeNearBank(const DramConfig &dram, const PimConfig &pim,
+                const PimInstrProfile &profile, const KernelShape &kernel)
+{
+    const size_t g = kernel.g;
+    DramTiming timing = dram.timing;
+    timing.tCCD = chunkPeriodCycles(dram.timing, pim.clockGHz,
+                                    profile.mmacPerChunk *
+                                        kernel.laneFactor);
     BankEngine bank(timing);
 
-    const size_t actsPerPhase =
-        layout.actsPerIteration(1, pim_.columnPartition);
-    for (size_t batch = 0; batch < limbBatches; ++batch) {
-        for (size_t iter = 0; iter < iterations; ++iter) {
-            // Phase 1: buffered operands (plaintexts / first sources).
-            if (profile.readsGroup0 > 0) {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.readsGroup0);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.readsGroup0 * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Rd);
-                }
-            }
-            // Phase 2: streamed operands through the MMAC units.
-            {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.readsGroup1);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.readsGroup1 * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Rd);
-                }
-            }
-            // Phase 3: write back the results.
-            {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.writes);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.writes * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Wr);
-                }
-            }
+    // One phase of an iteration: open the phase's rows and stream its
+    // `streams` operands' G chunks through them.
+    const auto phase = [&](size_t streams, DramCommand command) {
+        const size_t acts = pim.columnPartition
+                                ? kernel.actsPerPhase
+                                : std::max<size_t>(1, streams);
+        const size_t share = (streams * g + acts - 1) / acts;
+        for (size_t a = 0; a < acts; ++a) {
+            bank.activateRow();
+            for (size_t c = 0; c < share; ++c)
+                bank.issue(command);
+        }
+    };
+    for (size_t batch = 0; batch < kernel.limbBatches; ++batch) {
+        for (size_t iter = 0; iter < kernel.iterations; ++iter) {
+            // Buffered operands (plaintexts / first sources), streamed
+            // operands through the MMAC units, then the results.
+            if (profile.readsGroup0 > 0)
+                phase(profile.readsGroup0, DramCommand::Rd);
+            phase(profile.readsGroup1, DramCommand::Rd);
+            phase(profile.writes, DramCommand::Wr);
         }
     }
     if (bank.rowOpen())
         bank.issue(DramCommand::Pre);
 
+    PimExecStats stats;
+    stats.chunkGranularity = g;
     stats.timeNs = bank.elapsedNs();
     stats.commands = bank.counts();
-
-    // Only the healthy banks still switch; quarantined ones idle.
-    const double banks =
-        static_cast<double>(pim_.healthyBanksPerDieGroup()) *
-        pim_.dieGroups;
-    const double chunksPerBankTotal = static_cast<double>(
-        (profile.readsGroup0 + profile.readsGroup1 + profile.writes) * g *
-        iterations * limbBatches);
-    stats.chunksMoved = chunksPerBankTotal * banks;
-    const double bytesMoved = stats.chunksMoved * dram_.chunkBytes;
-    const double mmacs = stats.chunksMoved * pim_.lanes *
-                         profile.mmacPerChunk;
+    const Traffic moved = traffic(
+        dram, pim, profile,
+        static_cast<double>((profile.readsGroup0 + profile.readsGroup1 +
+                             profile.writes) *
+                            g * kernel.iterations * kernel.limbBatches));
+    stats.chunksMoved = moved.chunksMoved;
     stats.energyPj =
-        static_cast<double>(stats.commands.acts) * banks *
-            dram_.energy.actPrePj +
-        bytesMoved * dram_.energy.nearBankPerBytePj +
-        mmacs * pim_.mmacEnergyPj;
+        static_cast<double>(stats.commands.acts) * moved.banks *
+            dram.energy.actPrePj +
+        moved.bytesMoved * dram.energy.nearBankPerBytePj +
+        moved.mmacs * pim.mmacEnergyPj;
     return stats;
 }
 
 PimExecStats
-PimKernelModel::executeCustomHbm(const PimInstrProfile &profile,
-                                 size_t limbs, size_t n) const
+executeCustomHbm(const DramConfig &dram, const PimConfig &pim,
+                 const PimInstrProfile &profile, const KernelShape &kernel)
 {
-    PimExecStats stats;
-    ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, n, 8,
-                                 pim_.offlineBanks);
-    const size_t chunksPerBank = layout.chunksPerBankPerLimb();
-    size_t g = pim_.bufferEntries / profile.bufferRegions;
-    if (g == 0) {
-        stats.supported = false;
-        return stats;
-    }
-    // The chunk granularity cannot exceed the chunks a bank holds.
-    g = std::min(g, chunksPerBank);
-    stats.chunkGranularity = g;
-
-    const size_t limbBatches =
-        (limbs + pim_.dieGroups - 1) / pim_.dieGroups;
     const double chunksPerBankTotal = static_cast<double>(
         (profile.readsGroup0 + profile.readsGroup1 + profile.writes) *
-        chunksPerBank * limbBatches);
+        kernel.chunksPerBank * kernel.limbBatches);
 
     // The logic-die unit serves banksPerUnit banks: streaming is bound
     // by the unit's MMAC rate (one chunk per pass), while ACT/PRE of
     // one bank hides behind the streaming of the other banks. Residual
     // exposure shrinks with both G and the banks-per-unit ratio. Dead
     // lanes stretch the per-chunk pass like on the near-bank variant.
-    const double laneFactor = static_cast<double>(pim_.lanes) /
-                              static_cast<double>(pim_.healthyLanes());
     const double chunkNs =
-        profile.mmacPerChunk * laneFactor / pim_.clockGHz;
+        profile.mmacPerChunk * kernel.laneFactor / pim.clockGHz;
     const double streamNs =
-        chunksPerBankTotal * static_cast<double>(pim_.banksPerUnit) *
+        chunksPerBankTotal * static_cast<double>(pim.banksPerUnit) *
         chunkNs;
     const double actPreNs =
-        static_cast<double>(dram_.timing.tRP + dram_.timing.tRCD) *
-        dram_.timing.tCkNs;
-    const size_t iterations = (chunksPerBank + g - 1) / g;
-    const double phases = 3.0 * static_cast<double>(iterations) *
-                          static_cast<double>(limbBatches) *
-                          (pim_.columnPartition
+        static_cast<double>(dram.timing.tRP + dram.timing.tRCD) *
+        dram.timing.tCkNs;
+    const double phases = 3.0 * static_cast<double>(kernel.iterations) *
+                          static_cast<double>(kernel.limbBatches) *
+                          (pim.columnPartition
                                ? 1.0
                                : static_cast<double>(
                                      profile.readsGroup0 +
                                      profile.readsGroup1 + profile.writes) /
                                      3.0);
     const double exposedActNs =
-        phases * actPreNs / static_cast<double>(pim_.banksPerUnit);
-    stats.timeNs = streamNs + exposedActNs;
+        phases * actPreNs / static_cast<double>(pim.banksPerUnit);
 
-    const double banks =
-        static_cast<double>(pim_.healthyBanksPerDieGroup()) *
-        pim_.dieGroups;
-    stats.chunksMoved = chunksPerBankTotal * banks;
-    const double bytesMoved = stats.chunksMoved * dram_.chunkBytes;
-    const double mmacs = stats.chunksMoved * pim_.lanes *
-                         profile.mmacPerChunk;
+    PimExecStats stats;
+    stats.chunkGranularity = kernel.g;
+    stats.timeNs = streamNs + exposedActNs;
+    const Traffic moved = traffic(dram, pim, profile, chunksPerBankTotal);
+    stats.chunksMoved = moved.chunksMoved;
     stats.commands.acts = static_cast<uint64_t>(phases);
     stats.commands.pres = stats.commands.acts;
     // Data crosses the die to the logic-die TSVs: global-I/O energy.
     stats.energyPj =
-        phases * banks * dram_.energy.actPrePj +
-        bytesMoved * (dram_.energy.nearBankPerBytePj +
-                      dram_.energy.globalIoPerBytePj) +
-        mmacs * pim_.mmacEnergyPj;
+        phases * moved.banks * dram.energy.actPrePj +
+        moved.bytesMoved * (dram.energy.nearBankPerBytePj +
+                            dram.energy.globalIoPerBytePj) +
+        moved.mmacs * pim.mmacEnergyPj;
     return stats;
+}
+
+} // namespace
+
+PimExecStats
+PimKernelModel::executeProfile(const PimInstrProfile &profile,
+                               size_t limbs, size_t n) const
+{
+    const KernelShape kernel = kernelShape(dram_, pim_, profile, limbs, n);
+    if (kernel.g == 0) {
+        PimExecStats stats;
+        stats.supported = false;
+        return stats;
+    }
+    return pim_.variant == PimVariant::NearBank
+               ? executeNearBank(dram_, pim_, profile, kernel)
+               : executeCustomHbm(dram_, pim_, profile, kernel);
 }
 
 PimExecStats
@@ -281,9 +290,13 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
         bool first = true;
         while (remaining > 0) {
             const size_t piece = std::min(remaining, maxFanIn);
+            // A continuation piece additionally re-reads the two
+            // accumulator polynomials it carries forward.
+            PimInstrProfile chained = pimInstrProfile(opcode, piece);
+            chained.readsGroup1 += 2;
             PimExecStats stats =
                 first ? execute(opcode, piece, limbs, n)
-                      : executeChainedPiece(opcode, piece, limbs, n);
+                      : executeProfile(chained, limbs, n);
             total.timeNs += stats.timeNs;
             total.energyPj += stats.energyPj;
             total.commands.acts += stats.commands.acts;
@@ -298,18 +311,8 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
         return total;
     }
 
-    const PimInstrProfile profile = pimInstrProfile(opcode, fanIn);
-    PimExecStats stats;
-    switch (pim_.variant) {
-      case PimVariant::NearBank:
-        stats = executeNearBank(profile, limbs, n);
-        break;
-      case PimVariant::CustomHbm:
-        stats = executeCustomHbm(profile, limbs, n);
-        break;
-      default:
-        ANAHEIM_PANIC("unknown PIM variant");
-    }
+    const PimExecStats stats =
+        executeProfile(pimInstrProfile(opcode, fanIn), limbs, n);
     static obs::Counter &instructions =
         obs::MetricsRegistry::global().counter("pim.model.instructions");
     static obs::Gauge &chunks =
@@ -317,23 +320,6 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
     instructions.add();
     chunks.add(stats.chunksMoved);
     return stats;
-}
-
-PimExecStats
-PimKernelModel::executeChainedPiece(PimOpcode opcode, size_t fanIn,
-                                    size_t limbs, size_t n) const
-{
-    // A continuation piece additionally re-reads the two accumulator
-    // polynomials it carries forward.
-    PimInstrProfile profile = pimInstrProfile(opcode, fanIn);
-    profile.readsGroup1 += 2;
-    switch (pim_.variant) {
-      case PimVariant::NearBank:
-        return executeNearBank(profile, limbs, n);
-      case PimVariant::CustomHbm:
-        return executeCustomHbm(profile, limbs, n);
-    }
-    ANAHEIM_PANIC("unknown PIM variant");
 }
 
 PimExecStats

@@ -119,12 +119,9 @@ class PimKernelModel
                           size_t n) const;
 
   private:
-    PimExecStats executeNearBank(const PimInstrProfile &profile,
-                                 size_t limbs, size_t n) const;
-    PimExecStats executeCustomHbm(const PimInstrProfile &profile,
-                                  size_t limbs, size_t n) const;
-    PimExecStats executeChainedPiece(PimOpcode opcode, size_t fanIn,
-                                     size_t limbs, size_t n) const;
+    /** Price one instruction profile on the configured variant. */
+    PimExecStats executeProfile(const PimInstrProfile &profile,
+                                size_t limbs, size_t n) const;
 
     DramConfig dram_;
     PimConfig pim_;
