@@ -1,33 +1,11 @@
 #include "framework.h"
 
-#include <vector>
-
 #include "common/logging.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "runcontext.h"
 
 namespace anaheim {
-
-bool
-timelineEntryLess(const GanttEntry &a, const GanttEntry &b)
-{
-    if (a.startNs != b.startNs)
-        return a.startNs < b.startNs;
-    if (a.device != b.device)
-        return a.device < b.device;
-    return a.phase < b.phase;
-}
-
-bool
-timelineIsCanonical(const std::vector<GanttEntry> &timeline)
-{
-    for (size_t i = 1; i < timeline.size(); ++i) {
-        if (timelineEntryLess(timeline[i], timeline[i - 1]))
-            return false;
-    }
-    return true;
-}
 
 AnaheimConfig
 AnaheimConfig::a100NearBank()
@@ -98,8 +76,10 @@ AnaheimFramework::execute(const OpSequence &seq) const
     while (!ctx.done())
         ctx.step();
     RunResult result = ctx.finish();
-    if (config_.obs.trace || obs::tracingEnabled()) {
-        const uint32_t run = obs::recordRunTimeline(seq.name, result);
+    if (obs::tracingEnabled()) {
+        obs::TraceCollector &collector = obs::TraceCollector::global();
+        const uint32_t run = collector.beginRun(seq.name);
+        collector.recordTimeline(run, result.timeline);
         obs::publishRunMetrics(result, run);
     } else {
         obs::publishRunMetrics(result);

@@ -100,14 +100,6 @@ struct ResilienceConfig {
     HealthConfig health;
 };
 
-/** Observability knobs (src/obs). Tracing can also be forced globally
- *  with ANAHEIM_TRACE=1 / obs::setTracingEnabled(). */
-struct ObsConfig {
-    /** Record this framework's simulated timeline into the global
-     *  trace collector even when host-span tracing is off. */
-    bool trace = false;
-};
-
 /** Arrival process the serving scheduler (src/serve) drives streams
  *  with. */
 enum class ArrivalKind {
@@ -207,7 +199,6 @@ struct AnaheimConfig {
     bool pimEnabled = true;
     FusionFlags fusion;
     ResilienceConfig resilience;
-    ObsConfig obs;
     ServeConfig serve;
 
     /** A100 80GB with near-bank PIM (Table III column 1). */
@@ -217,33 +208,6 @@ struct AnaheimConfig {
     /** RTX 4090 with near-bank PIM (column 3). */
     static AnaheimConfig rtx4090NearBank();
 };
-
-/** What limited a timeline entry's duration in the roofline model. */
-enum class BoundBy {
-    None,      ///< maintenance phases (Scrub/Checkpoint/...)
-    Compute,   ///< int-op throughput bound (GPU)
-    Bandwidth, ///< DRAM/internal streaming bound (GPU memory side, PIM)
-};
-
-struct GanttEntry {
-    std::string phase;
-    std::string device; ///< "GPU", "PIM" or "DRAM" (maintenance)
-    KernelClass cls;
-    double startNs = 0.0;
-    double endNs = 0.0;
-    /** Energy attributed to this entry (0 for entries recorded before
-     *  attribution existed; always set by execute()). */
-    double energyPj = 0.0;
-    BoundBy bound = BoundBy::None;
-};
-
-/** The canonical `RunResult::timeline` order enforced by execute():
- *  (startNs, device, phase) ascending — stable across thread counts so
- *  trace exports and golden tests are reproducible. */
-bool timelineEntryLess(const GanttEntry &a, const GanttEntry &b);
-
-/** True when `timeline` is in canonical order. */
-bool timelineIsCanonical(const std::vector<GanttEntry> &timeline);
 
 /** Fault/ECC/recovery counters accumulated over one execution. */
 struct ResilienceStats {

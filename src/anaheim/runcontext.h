@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
@@ -83,8 +84,8 @@ class RunContext
      */
     void step(bool suppressTransition = false);
 
-    /** Close out the run (health stats, canonical timeline sort) and
-     *  surrender the result. Requires done(); call once. */
+    /** Close out the run (health stats, total time) and surrender the
+     *  result. Requires done(); call once. */
     RunResult finish();
 
     // --- Live health / resilience visibility (DESIGN.md §16) ---
@@ -116,13 +117,13 @@ class RunContext
         return health_ ? &health_->resources() : nullptr;
     }
 
-    /** Live ciphertext footprint in bytes — what a preemption
-     *  save/restore pass moves (same quantity a checkpoint snapshots). */
-    double liveSnapshotBytes() const { return liveBytes_; }
-
-    /** Bytes-per-ns external bandwidth used to price snapshot-sized
-     *  maintenance passes (checkpoint, rollback, preemption). */
-    double externalBwBytesPerNs() const { return extBw_; }
+    /** Duration of one pass over twice the live ciphertext footprint
+     *  on the external bus: the price of a checkpoint, rollback or
+     *  migration, and of a preemption save or restore. */
+    double footprintPassNs() const
+    {
+        return liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0;
+    }
 
   private:
     enum class FallbackCause { RetryExhausted, Uncheckpointed,
@@ -131,8 +132,18 @@ class RunContext
     const PimKernelModel &pimModel() const;
     bool fusesWithPrev(size_t i) const;
     void refreshActiveFaults();
-    void chargePhase(const char *phase, const char *device, double durNs,
-                     double energyPj);
+    /** The one writer of the simulated timeline: appends an entry of
+     *  `durNs` at the run clock, advances the clock past it and adds
+     *  the duration (under breakdownCategory) and energy to the run
+     *  totals. Maintenance phases pass the defaults. */
+    void charge(const std::string &phase, const char *device,
+                double durNs, double energyPj,
+                BoundBy bound = BoundBy::None,
+                KernelClass cls = KernelClass::ElementWise);
+    /** A GPU kernel (planned or fallback) and its DRAM traffic. */
+    void chargeGpu(const KernelOp &op, const GpuKernelStats &stats);
+    /** Rollback / Migrate / Checkpoint: one footprintPassNs() pass. */
+    void chargeFootprintPass(const char *phase);
     void addSilent(uint64_t words);
     bool canRollBack() const;
     size_t rollBack(size_t i);

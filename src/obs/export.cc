@@ -39,14 +39,6 @@ buildType()
 #endif
 }
 
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
-}
-
 void
 appendEvent(std::ostringstream &out, bool &first, const std::string &body)
 {
@@ -66,6 +58,14 @@ metadataEvent(const char *name, uint64_t pid, uint64_t tid,
 }
 
 } // namespace
+
+std::string
+formatDouble(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.10g", value);
+    return buf;
+}
 
 std::string
 jsonEscape(const std::string &value)
@@ -107,7 +107,8 @@ std::string
 chromeTraceJson(const TraceCollector &collector)
 {
     const std::vector<HostSpan> host = collector.hostSpans();
-    const std::vector<SimSpan> sim = collector.simSpans();
+    const std::vector<std::pair<uint32_t, GanttEntry>> sim =
+        collector.simTimeline();
     const std::vector<std::string> runs = collector.runNames();
 
     constexpr uint64_t kHostPid = 1;
@@ -175,17 +176,26 @@ chromeTraceJson(const TraceCollector &collector)
         lanes.emplace(lane, tid);
         return tid;
     };
-    for (const SimSpan &span : sim) {
-        const uint64_t pid = kSimPidBase + span.run;
-        const uint64_t tid = laneTid(pid, span.lane);
+    for (const auto &[run, entry] : sim) {
+        // Maintenance phases (DRAM passes, Verify priced on the GPU) get
+        // their own lanes so recovery overhead is visible next to the
+        // GPU/PIM streams; serve events already name their lane.
+        const bool maintenance =
+            entry.bound == BoundBy::None &&
+            (entry.device == "DRAM" || entry.device == "GPU");
+        const std::string &lane = maintenance ? entry.phase : entry.device;
+        const uint64_t pid = kSimPidBase + run;
+        const uint64_t tid = laneTid(pid, lane);
         std::ostringstream body;
-        body << "\"name\": \"" << jsonEscape(span.name)
-             << "\", \"cat\": \"" << jsonEscape(span.category)
-             << "\", \"ph\": \"X\", \"ts\": " << formatDouble(span.startUs)
-             << ", \"dur\": " << formatDouble(span.durUs)
+        body << "\"name\": \"" << jsonEscape(entry.phase)
+             << "\", \"cat\": \"" << jsonEscape(breakdownCategory(entry))
+             << "\", \"ph\": \"X\", \"ts\": "
+             << formatDouble(entry.startNs * 1e-3)
+             << ", \"dur\": "
+             << formatDouble((entry.endNs - entry.startNs) * 1e-3)
              << ", \"pid\": " << pid << ", \"tid\": " << tid
-             << ", \"args\": {\"lane\": \"" << jsonEscape(span.lane)
-             << "\", \"energy_pj\": " << formatDouble(span.energyPj)
+             << ", \"args\": {\"lane\": \"" << jsonEscape(lane)
+             << "\", \"energy_pj\": " << formatDouble(entry.energyPj)
              << "}";
         appendEvent(out, first, body.str());
     }

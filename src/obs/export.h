@@ -4,10 +4,12 @@
  *
  * Chrome trace-event / Perfetto JSON: one document merging the host
  * span tree (pid 1, one tid per traced thread) with every recorded
- * simulated run (pid 1000+run, one tid per lane — GPU, PIM, Scrub,
- * Checkpoint, Rollback, Verify). Open the file in https://ui.perfetto.dev
- * or chrome://tracing. Timestamps are microseconds ("X" complete
- * events); process/thread names ride "M" metadata events.
+ * simulated run (pid 1000+run, one tid per lane — GPU, PIM, one per
+ * maintenance phase, and the serve scheduler's Preempt/Shed/Alert),
+ * one "X" event per recorded `GanttEntry`. Open the file in
+ * https://ui.perfetto.dev or chrome://tracing. Timestamps are
+ * microseconds ("X" complete events); process/thread names ride "M"
+ * metadata events.
  *
  * Metrics: the registry snapshot as a flat JSON document (with the
  * same self-describing header block the bench JSON reports carry) or
@@ -78,6 +80,10 @@ bool writePrometheus(
 
 /** JSON string escaping shared by the exporters. */
 std::string jsonEscape(const std::string &value);
+
+/** Number formatting shared by the exporters and configSummary
+ *  ("%.10g"). */
+std::string formatDouble(double value);
 
 /** Self-describing header fields stamped into every export: schema
  *  version, git SHA, build type, resolved thread count. */

@@ -2,7 +2,7 @@
 
 #include <cinttypes>
 
-#include "obs/trace.h"
+#include "obs/export.h"
 
 namespace anaheim::obs {
 
@@ -28,18 +28,6 @@ AttributionReport::categoryTotalsNs() const
 }
 
 std::string
-attributionCategory(const GanttEntry &entry)
-{
-    if (entry.device == "PIM")
-        return "PIM";
-    if (entry.device == "GPU" && entry.bound != BoundBy::None)
-        return kernelClassName(entry.cls);
-    // Maintenance phases (Scrub/Checkpoint/Rollback/Verify) are
-    // categorized by phase, matching execute()'s chargePhase().
-    return entry.phase;
-}
-
-std::string
 attributionMode(const GanttEntry &entry)
 {
     if (entry.device == "PIM")
@@ -57,7 +45,7 @@ buildAttribution(const RunResult &result)
     AttributionReport report;
     for (const GanttEntry &entry : result.timeline) {
         AttributionCell &cell =
-            report.rows[attributionCategory(entry)]
+            report.rows[breakdownCategory(entry)]
                        [attributionMode(entry)];
         const double durNs = entry.endNs - entry.startNs;
         cell.ns += durNs;
@@ -93,35 +81,6 @@ printAttribution(const RunResult &result, std::FILE *out)
     std::fprintf(out, "  %-14s %12s %12s %12s %12s | %10.3f %5.1f%%\n",
                  "total", "", "", "", "", report.totalNs * 1e-6,
                  100.0 * report.totalNs / total);
-}
-
-uint32_t
-recordRunTimeline(const std::string &name, const RunResult &result)
-{
-    const uint32_t run = TraceCollector::global().beginRun(name);
-    recordRunTimeline(run, result);
-    return run;
-}
-
-void
-recordRunTimeline(uint32_t runId, const RunResult &result)
-{
-    TraceCollector &collector = TraceCollector::global();
-    for (const GanttEntry &entry : result.timeline) {
-        SimSpan span;
-        span.name = entry.phase;
-        // Maintenance phases get their own lanes so recovery overhead
-        // is visible next to the GPU/PIM streams.
-        span.lane = entry.device == "DRAM" ? entry.phase : entry.device;
-        if (entry.device == "GPU" && entry.bound == BoundBy::None)
-            span.lane = entry.phase; // Verify passes priced on the GPU
-        span.category = attributionCategory(entry);
-        span.run = runId;
-        span.startUs = entry.startNs * 1e-3;
-        span.durUs = (entry.endNs - entry.startNs) * 1e-3;
-        span.energyPj = entry.energyPj;
-        collector.recordSimSpan(std::move(span));
-    }
 }
 
 namespace {
@@ -214,18 +173,6 @@ publishRunMetrics(const RunResult &result, uint32_t runId,
     publishRunGauges("run." + std::to_string(runId), result, registry);
 }
 
-namespace {
-
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
-}
-
-} // namespace
-
 std::vector<std::pair<std::string, std::string>>
 configSummary(const AnaheimConfig &config)
 {
@@ -276,7 +223,6 @@ configSummary(const AnaheimConfig &config)
     kv.emplace_back(
         "permanent_lanes",
         std::to_string(config.resilience.permanentLanes.size()));
-    kv.emplace_back("obs_trace", config.obs.trace ? "true" : "false");
     kv.emplace_back("serve_streams", std::to_string(config.serve.streams));
     kv.emplace_back("serve_arrival",
                     config.serve.arrival == ArrivalKind::OpenPoisson

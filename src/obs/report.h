@@ -4,8 +4,7 @@
  * breakdown (kernel class x GPU-vs-PIM x compute-vs-bandwidth-bound)
  * computed from `RunResult::timeline` in one place, replacing the
  * per-bench printf breakdowns. Also the glue that publishes a run's
- * counters into the metrics registry and its timeline into the trace
- * collector.
+ * counters into the metrics registry.
  */
 
 #ifndef ANAHEIM_OBS_REPORT_H
@@ -45,16 +44,12 @@ struct AttributionReport {
     double totalNs = 0.0;
     double totalEnergyPj = 0.0;
 
-    /** Per-category time totals; reproduces `timeNsByCategory` exactly
-     *  (same additions, grouped by timeline entry instead of streamed
-     *  during execution). */
+    /** Per-category time totals. Same keys as `timeNsByCategory` and
+     *  the same values up to summation-order rounding: GPU categories
+     *  are summed per mode first, and each entry contributes
+     *  `endNs - startNs` rather than the charged duration. */
     std::map<std::string, double> categoryTotalsNs() const;
 };
-
-/** Breakdown category of one timeline entry: kernel-class name for GPU
- *  entries, "PIM" for PIM entries, the phase for maintenance entries —
- *  the key execute() uses for `timeNsByCategory`. */
-std::string attributionCategory(const GanttEntry &entry);
 
 /** Execution-mode column of one timeline entry. */
 std::string attributionMode(const GanttEntry &entry);
@@ -64,18 +59,6 @@ AttributionReport buildAttribution(const RunResult &result);
 
 /** Print the table (category rows x mode columns, ms and % shares). */
 void printAttribution(const RunResult &result, std::FILE *out = stdout);
-
-/**
- * Record a run's simulated timeline into the global trace collector as
- * one run (its own process group in the exported trace): GPU and PIM
- * lanes plus one lane per maintenance phase.
- */
-uint32_t recordRunTimeline(const std::string &name,
-                           const RunResult &result);
-
-/** Same, but into an already-begun run (one trace-collector run id per
- *  serve stream, many request timelines recorded onto it). */
-void recordRunTimeline(uint32_t runId, const RunResult &result);
 
 /**
  * Publish a run's statistics into `registry`: every ResilienceStats

@@ -54,7 +54,7 @@ struct CollectorState {
     /** Buffers outlive their threads (worker pools tear down and
      *  respawn); the collector owns them for the process lifetime. */
     std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-    std::vector<SimSpan> simSpans;
+    std::vector<std::pair<uint32_t, GanttEntry>> simTimeline;
     std::vector<std::string> runNames;
 };
 
@@ -116,11 +116,13 @@ TraceCollector::beginRun(const std::string &name)
 }
 
 void
-TraceCollector::recordSimSpan(SimSpan span)
+TraceCollector::recordTimeline(uint32_t runId,
+                               const std::vector<GanttEntry> &entries)
 {
     CollectorState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.simSpans.push_back(std::move(span));
+    for (const GanttEntry &entry : entries)
+        s.simTimeline.emplace_back(runId, entry);
 }
 
 std::vector<HostSpan>
@@ -147,12 +149,12 @@ TraceCollector::hostSpans() const
     return all;
 }
 
-std::vector<SimSpan>
-TraceCollector::simSpans() const
+std::vector<std::pair<uint32_t, GanttEntry>>
+TraceCollector::simTimeline() const
 {
     CollectorState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.simSpans;
+    return s.simTimeline;
 }
 
 std::vector<std::string>
@@ -170,7 +172,7 @@ TraceCollector::clear()
     std::vector<ThreadBuffer *> buffers;
     {
         std::lock_guard<std::mutex> lock(s.mutex);
-        s.simSpans.clear();
+        s.simTimeline.clear();
         s.runNames.clear();
         for (const auto &buffer : s.buffers)
             buffers.push_back(buffer.get());

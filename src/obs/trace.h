@@ -1,19 +1,18 @@
 /**
  * @file
- * Scoped tracing runtime: RAII host-side spans plus an explicit
- * simulated-time track, collected into per-thread buffers and exported
- * as Chrome trace-event / Perfetto JSON (obs/export.h).
+ * Scoped tracing runtime: RAII host-side spans, collected into
+ * per-thread buffers, plus the simulated timelines of recorded runs,
+ * all exported as Chrome trace-event / Perfetto JSON (obs/export.h).
  *
  * Two clocks, deliberately kept apart:
  *  - HOST spans (`OBS_SPAN("keyswitch/modup")`) measure wall-clock time
  *    of this process — where the functional library and the simulator
  *    themselves spend time. Timestamps are microseconds since the
  *    process trace epoch (first collector use).
- *  - SIM spans carry *simulated* nanoseconds from the architecture
- *    model (`RunResult::timeline`); they are recorded explicitly with
- *    start/end and never touch the host clock. Each recorded run gets
- *    its own run id so successive `execute()` calls don't overlap at
- *    t = 0 in the viewer.
+ *  - The SIM track holds `GanttEntry`s as the architecture model wrote
+ *    them (`RunResult::timeline`): *simulated* nanoseconds, never the
+ *    host clock. Each recorded run gets its own run id so successive
+ *    `execute()` calls don't overlap at t = 0 in the viewer.
  *
  * Threading: every thread appends to its own buffer guarded by its own
  * uncontended mutex (lock-free-ish: the fast path never blocks on other
@@ -21,9 +20,9 @@
  * Buffers are owned by the collector and outlive their threads.
  *
  * Overhead when disabled: `OBS_SPAN` costs one relaxed atomic load and
- * a branch — safe for hot paths. Enable via `ANAHEIM_TRACE=1`,
- * `obs::setTracingEnabled(true)`, or `AnaheimConfig::obs.trace` (which
- * scopes enablement to the framework's simulated timeline).
+ * a branch — safe for hot paths. Enable via `ANAHEIM_TRACE=1` or
+ * `obs::setTracingEnabled(true)`; while enabled, `execute()` and the
+ * serving scheduler also record their simulated timelines.
  */
 
 #ifndef ANAHEIM_OBS_TRACE_H
@@ -32,7 +31,10 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "trace/kernel.h"
 
 namespace anaheim::obs {
 
@@ -64,38 +66,30 @@ struct HostSpan {
     double durUs = 0.0;
 };
 
-/** One simulated-timeline span (explicit timestamps, sim clock). */
-struct SimSpan {
-    std::string name;     ///< phase ("ModUp", "Scrub", ...)
-    std::string lane;     ///< track: "GPU", "PIM", "Scrub", ...
-    std::string category; ///< breakdown category (kernel class / phase)
-    uint32_t run = 0;     ///< which recorded run this span belongs to
-    double startUs = 0.0; ///< simulated time, microseconds
-    double durUs = 0.0;
-    double energyPj = 0.0;
-};
-
 /**
  * Process-wide span sink. Host spans land in per-thread buffers; sim
- * spans and run registration serialize on one mutex (they are emitted
- * once per run, not per kernel-invocation hot path).
+ * timelines and run registration serialize on one mutex (they are
+ * recorded once per run, not per kernel-invocation hot path).
  */
 class TraceCollector
 {
   public:
     static TraceCollector &global();
 
-    /** Register a simulated run; returns its run id for SimSpan::run. */
+    /** Register a simulated run; returns its run id. */
     uint32_t beginRun(const std::string &name);
 
-    void recordSimSpan(SimSpan span);
+    /** Append `entries` to run `runId`'s simulated track. */
+    void recordTimeline(uint32_t runId,
+                        const std::vector<GanttEntry> &entries);
 
     /** Snapshot of every completed host span across all threads,
      *  ordered by (tid, startUs). */
     std::vector<HostSpan> hostSpans() const;
 
-    /** Snapshot of the simulated track in record order. */
-    std::vector<SimSpan> simSpans() const;
+    /** Snapshot of the simulated track, (run id, entry) in record
+     *  order. */
+    std::vector<std::pair<uint32_t, GanttEntry>> simTimeline() const;
 
     /** Names of the recorded runs, indexed by run id. */
     std::vector<std::string> runNames() const;

@@ -149,8 +149,8 @@ class ServeEngine
     double requestReadyNs(size_t s) const;
     double stepStream(size_t s, double startNs, bool suppressTransition);
     double preemptionOverheadNs(size_t winner, int dev, double startNs);
-    void recordServeSpan(uint32_t runId, const char *name,
-                         const char *lane, double startNs, double durNs);
+    void recordServeEvent(uint32_t runId, const char *name,
+                          const char *lane, double startNs, double durNs);
     void publishStreamTotals() const;
     void telemetryInit();
     obs::TimeSeries &telemetrySeries(const std::string &suffix);
@@ -240,20 +240,18 @@ ServeEngine::deadlinesEnabled() const
 }
 
 void
-ServeEngine::recordServeSpan(uint32_t runId, const char *name,
-                             const char *lane, double startNs,
-                             double durNs)
+ServeEngine::recordServeEvent(uint32_t runId, const char *name,
+                              const char *lane, double startNs,
+                              double durNs)
 {
     if (!tracing_)
         return;
-    obs::SimSpan span;
-    span.name = name;
-    span.lane = lane;
-    span.category = "Serve";
-    span.run = runId;
-    span.startUs = startNs * 1e-3;
-    span.durUs = durNs * 1e-3;
-    obs::TraceCollector::global().recordSimSpan(std::move(span));
+    GanttEntry event;
+    event.phase = name;
+    event.device = lane;
+    event.startNs = startNs;
+    event.endNs = startNs + durNs;
+    obs::TraceCollector::global().recordTimeline(runId, {event});
 }
 
 void
@@ -328,7 +326,7 @@ ServeEngine::shed(size_t s, size_t k, double atNs)
     ++out_.stats.shedDeadline;
     if (telemetry_)
         tsRejectShed_->observe(atNs, 1.0);
-    recordServeSpan(streams_[s].runId, "Shed", "Shed", atNs, 0.0);
+    recordServeEvent(streams_[s].runId, "Shed", "Shed", atNs, 0.0);
 }
 
 /** True when dispatching request k of stream s at `startNs` cannot
@@ -477,7 +475,8 @@ ServeEngine::stepStream(size_t s, double startNs, bool suppressTransition)
         sr.migrations += req.result.resilience.migrations;
         sr.unrecovered += req.result.resilience.unrecovered;
         if (tracing_) {
-            obs::recordRunTimeline(st.runId, req.result);
+            obs::TraceCollector::global().recordTimeline(
+                st.runId, req.result.timeline);
             obs::publishRunMetrics(req.result, st.runId);
         } else {
             obs::publishRunMetrics(req.result);
@@ -513,27 +512,23 @@ ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
         if (victim.active && victim.activeStarted && !victim.preempted &&
             victim.priority > streams_[winner].priority &&
             !victim.active->nextCostFree()) {
-            const double saveNs =
-                2.0 * victim.active->liveSnapshotBytes() /
-                victim.active->externalBwBytesPerNs();
+            const double saveNs = victim.active->footprintPassNs();
             ++stats.preemptions;
             victim.preempted = true;
             if (telemetry_)
                 tsPreemptions_->observe(startNs + overhead, saveNs);
-            recordServeSpan(victim.runId, "Save", "Preempt",
-                            startNs + overhead, saveNs);
+            recordServeEvent(victim.runId, "Save", "Preempt",
+                             startNs + overhead, saveNs);
             overhead += saveNs;
         }
     }
     StreamState &st = streams_[winner];
     if (st.preempted) {
-        const double restoreNs = 2.0 *
-                                 st.active->liveSnapshotBytes() /
-                                 st.active->externalBwBytesPerNs();
+        const double restoreNs = st.active->footprintPassNs();
         ++stats.preemptionResumes;
         st.preempted = false;
-        recordServeSpan(st.runId, "Restore", "Preempt",
-                        startNs + overhead, restoreNs);
+        recordServeEvent(st.runId, "Restore", "Preempt",
+                         startNs + overhead, restoreNs);
         overhead += restoreNs;
     }
     stats.preemptionOverheadNs += overhead;
@@ -659,8 +654,8 @@ ServeEngine::telemetryCloseTick()
     if (eval.fired)
         alertStartNs_ = windowStart;
     if (eval.resolved && alertStartNs_ >= 0.0) {
-        recordServeSpan(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
-                        windowStart + tick - alertStartNs_);
+        recordServeEvent(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
+                         windowStart + tick - alertStartNs_);
         alertStartNs_ = -1.0;
     }
     ++nextTick_;
@@ -690,9 +685,9 @@ ServeEngine::telemetryFinish()
     if (stats.makespanNs > static_cast<double>(nextTick_) * tick)
         telemetryCloseTick();
     if (burn_->firing() && alertStartNs_ >= 0.0) {
-        recordServeSpan(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
-                        std::max(stats.makespanNs - alertStartNs_,
-                                 0.0));
+        recordServeEvent(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
+                         std::max(stats.makespanNs - alertStartNs_,
+                                  0.0));
         alertStartNs_ = -1.0;
     }
     // Materialize trailing idle windows on the event-style series so
@@ -712,7 +707,7 @@ ServeEngine::run()
 {
     OBS_SPAN("serve/run");
     ANAHEIM_ASSERT(!traces_.empty(), "serving needs at least one trace");
-    tracing_ = fw_.config().obs.trace || obs::tracingEnabled();
+    tracing_ = obs::tracingEnabled();
 
     out_.streams.resize(serve_.streams);
     streams_.resize(serve_.streams);

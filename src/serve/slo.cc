@@ -57,7 +57,6 @@ ServiceEstimator::ServiceEstimator(const AnaheimConfig &config,
     // Estimates answer "how long on a clean device": strip every
     // fault/recovery knob so pricing never samples a fault stream.
     base_.resilience = ResilienceConfig{};
-    base_.obs.trace = false;
     priceAll(base_, nullptr);
 }
 

@@ -61,6 +61,16 @@ kernelClassName(KernelClass cls)
     return "?";
 }
 
+std::string
+breakdownCategory(const GanttEntry &entry)
+{
+    if (entry.device == "PIM")
+        return "PIM";
+    if (entry.device == "GPU" && entry.bound != BoundBy::None)
+        return kernelClassName(entry.cls);
+    return entry.phase;
+}
+
 namespace {
 
 /** Integer ops per data point for each element-wise kernel. A modular

@@ -59,6 +59,33 @@ KernelClass kernelClass(KernelType type);
 const char *kernelTypeName(KernelType type);
 const char *kernelClassName(KernelClass cls);
 
+/** What limited a timeline entry's duration in the roofline model. */
+enum class BoundBy {
+    None,      ///< maintenance phases (Scrub/Checkpoint/...)
+    Compute,   ///< int-op throughput bound (GPU)
+    Bandwidth, ///< DRAM/internal streaming bound (GPU memory side, PIM)
+};
+
+/** One interval of simulated time: the only record of where a run's
+ *  (or a serving scheduler's) device time went. */
+struct GanttEntry {
+    std::string phase;
+    /** "GPU", "PIM" or "DRAM" (maintenance); serve events name their
+     *  own lane ("Preempt", "Shed", "Alert"). */
+    std::string device;
+    KernelClass cls = KernelClass::ElementWise;
+    double startNs = 0.0;
+    double endNs = 0.0;
+    double energyPj = 0.0;
+    BoundBy bound = BoundBy::None;
+};
+
+/** The paper breakdown category of an entry: "PIM" for PIM work, the
+ *  kernel-class name for GPU kernels, the phase for everything else
+ *  (maintenance, serve events). Keys `RunResult::timeNsByCategory`,
+ *  the attribution rows and the exported trace's `cat`. */
+std::string breakdownCategory(const GanttEntry &entry);
+
 /** How an operand behaves in the cache (MAD [2] caching model). */
 enum class OperandKind {
     Working,      ///< ciphertext polynomials currently being computed on

@@ -159,34 +159,45 @@ TEST_F(TraceTest, DisableMidSpanStillUnwindsDepth)
     }
 }
 
-TEST_F(TraceTest, SimRunsAndSpansRoundTrip)
+TEST_F(TraceTest, SimRunsAndTimelinesRoundTrip)
 {
     TraceCollector &collector = TraceCollector::global();
     const uint32_t first = collector.beginRun("Boot");
     const uint32_t second = collector.beginRun("HELR");
     EXPECT_EQ(second, first + 1);
 
-    SimSpan span;
-    span.name = "ModUp";
-    span.lane = "GPU";
-    span.category = "NTT";
-    span.run = first;
-    span.startUs = 1.5;
-    span.durUs = 2.0;
-    span.energyPj = 42.0;
-    collector.recordSimSpan(span);
+    GanttEntry modUp;
+    modUp.phase = "ModUp";
+    modUp.device = "GPU";
+    modUp.cls = KernelClass::NttIntt;
+    modUp.startNs = 1500.0;
+    modUp.endNs = 3500.0;
+    modUp.energyPj = 42.0;
+    modUp.bound = BoundBy::Compute;
+    GanttEntry scrub;
+    scrub.phase = "Scrub";
+    scrub.device = "DRAM";
+    scrub.startNs = 3500.0;
+    scrub.endNs = 4000.0;
+    collector.recordTimeline(second, {modUp, scrub});
 
     const auto names = collector.runNames();
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[first], "Boot");
     EXPECT_EQ(names[second], "HELR");
-    const auto spans = collector.simSpans();
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].lane, "GPU");
-    EXPECT_DOUBLE_EQ(spans[0].energyPj, 42.0);
+    const auto timeline = collector.simTimeline();
+    ASSERT_EQ(timeline.size(), 2u);
+    EXPECT_EQ(timeline[0].first, second);
+    EXPECT_EQ(timeline[0].second.device, "GPU");
+    EXPECT_EQ(timeline[0].second.cls, KernelClass::NttIntt);
+    EXPECT_DOUBLE_EQ(timeline[0].second.endNs, 3500.0);
+    EXPECT_DOUBLE_EQ(timeline[0].second.energyPj, 42.0);
+    EXPECT_EQ(timeline[1].second.phase, "Scrub");
+    EXPECT_EQ(breakdownCategory(timeline[0].second), "(I)NTT");
+    EXPECT_EQ(breakdownCategory(timeline[1].second), "Scrub");
 
     collector.clear();
-    EXPECT_TRUE(collector.simSpans().empty());
+    EXPECT_TRUE(collector.simTimeline().empty());
     EXPECT_TRUE(collector.runNames().empty());
 }
 
