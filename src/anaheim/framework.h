@@ -307,10 +307,10 @@ class AnaheimFramework
      *  scheduler interleaves several contexts instead. */
     RunResult execute(const OpSequence &seq) const;
 
-  private:
     /** Map an element-wise kernel type onto its PIM opcode. */
     static PimOpcode opcodeFor(KernelType type);
 
+  private:
     /** Per-run device state lives in RunContext, which replays the
      *  schedule against this framework's models. */
     friend class RunContext;

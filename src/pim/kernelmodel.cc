@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace anaheim {
 
@@ -275,6 +276,32 @@ PimExecStats
 PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                         size_t n) const
 {
+    static obs::Counter &instructions =
+        obs::MetricsRegistry::global().counter("pim.model.instructions");
+    static obs::Counter &hits =
+        obs::MetricsRegistry::global().counter("pim.model.cache_hits");
+    static obs::Counter &misses =
+        obs::MetricsRegistry::global().counter("pim.model.cache_misses");
+    static obs::Gauge &chunks =
+        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
+    instructions.add();
+    const Key key{opcode, fanIn, limbs, n};
+    auto it = priced_.find(key);
+    if (it != priced_.end()) {
+        hits.add();
+    } else {
+        misses.add();
+        OBS_SPAN("pim/model_price");
+        it = priced_.emplace(key, price(opcode, fanIn, limbs, n)).first;
+    }
+    chunks.add(it->second.chunksMoved);
+    return it->second;
+}
+
+PimExecStats
+PimKernelModel::price(PimOpcode opcode, size_t fanIn, size_t limbs,
+                      size_t n) const
+{
     // Accumulation instructions whose buffer demand (fanIn + 2 regions)
     // exceeds B are chained: each piece accumulates its share and the
     // running accumulator pair is re-read/re-written between pieces.
@@ -292,11 +319,10 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
             const size_t piece = std::min(remaining, maxFanIn);
             // A continuation piece additionally re-reads the two
             // accumulator polynomials it carries forward.
-            PimInstrProfile chained = pimInstrProfile(opcode, piece);
-            chained.readsGroup1 += 2;
-            PimExecStats stats =
-                first ? execute(opcode, piece, limbs, n)
-                      : executeProfile(chained, limbs, n);
+            PimInstrProfile profile = pimInstrProfile(opcode, piece);
+            if (!first)
+                profile.readsGroup1 += 2;
+            const PimExecStats stats = executeProfile(profile, limbs, n);
             total.timeNs += stats.timeNs;
             total.energyPj += stats.energyPj;
             total.commands.acts += stats.commands.acts;
@@ -310,16 +336,7 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
         }
         return total;
     }
-
-    const PimExecStats stats =
-        executeProfile(pimInstrProfile(opcode, fanIn), limbs, n);
-    static obs::Counter &instructions =
-        obs::MetricsRegistry::global().counter("pim.model.instructions");
-    static obs::Gauge &chunks =
-        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
-    instructions.add();
-    chunks.add(stats.chunksMoved);
-    return stats;
+    return executeProfile(pimInstrProfile(opcode, fanIn), limbs, n);
 }
 
 PimExecStats

@@ -9,10 +9,21 @@
  * several banks on the logic die: ACT/PRE latencies hide behind the
  * other banks' streaming, at a lower aggregate internal bandwidth
  * (Table III: 4x vs 16x the external bandwidth on A100).
+ *
+ * Pricing is memoized per instance. An instruction's cost is a pure
+ * function of (opcode, fan-in, limbs, N) and of the DRAM/PIM config the
+ * instance was built with: Alg. 1's command stream is static (§V-C),
+ * and the BankEngine that replays it has no fault model attached, so
+ * even its refresh stalls are deterministic. The config is fixed at
+ * construction, so a priced shape stays valid for the instance's
+ * lifetime; a degraded device gets a new instance with a cold memo.
  */
 
 #ifndef ANAHEIM_PIM_KERNELMODEL_H
 #define ANAHEIM_PIM_KERNELMODEL_H
+
+#include <compare>
+#include <map>
 
 #include "dram/bank.h"
 #include "dram/timing.h"
@@ -96,6 +107,12 @@ struct PimExecStats {
     bool supported = true;
 };
 
+/**
+ * Prices PIM instructions. `execute` fills a per-instance memo, so an
+ * instance has one owning thread: the simulator never shares a
+ * framework (and so its model) across threads, and the memo takes no
+ * lock.
+ */
 class PimKernelModel
 {
   public:
@@ -109,6 +126,10 @@ class PimKernelModel
     /**
      * Execute one PIM instruction over `limbs` limbs of degree-n
      * polynomials, using all banks. Returns device-level time/energy.
+     * The first call per (opcode, fanIn, limbs, n) prices it; later
+     * calls return the memoized stats. Every call counts in
+     * `pim.model.instructions` and `pim.model.chunks_moved`, and in
+     * `pim.model.cache_hits` or `pim.model.cache_misses`.
      */
     PimExecStats execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                          size_t n) const;
@@ -119,12 +140,26 @@ class PimKernelModel
                           size_t n) const;
 
   private:
+    struct Key {
+        PimOpcode opcode;
+        size_t fanIn;
+        size_t limbs;
+        size_t n;
+        auto operator<=>(const Key &) const = default;
+    };
+
+    /** Price one instruction without the memo, chaining accumulations
+     *  whose fan-in overflows the buffer. */
+    PimExecStats price(PimOpcode opcode, size_t fanIn, size_t limbs,
+                       size_t n) const;
     /** Price one instruction profile on the configured variant. */
     PimExecStats executeProfile(const PimInstrProfile &profile,
                                 size_t limbs, size_t n) const;
 
     DramConfig dram_;
     PimConfig pim_;
+    /** Stats of every instruction shape priced so far. */
+    mutable std::map<Key, PimExecStats> priced_;
 };
 
 } // namespace anaheim

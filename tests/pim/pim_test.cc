@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "anaheim/framework.h"
+#include "anaheim/workloads.h"
 #include "common/rng.h"
 #include "math/modarith.h"
 #include "math/primes.h"
+#include "obs/metrics.h"
 #include "pim/functional.h"
 #include "pim/kernelmodel.h"
 #include "pim/layout.h"
@@ -359,6 +367,102 @@ TEST_F(PimModelTest, CustomHbmHidesActPreButStreamsSlower)
     EXPECT_GT(nearPenalty, customPenalty);
 }
 
+
+TEST_F(PimModelTest, ChainedAccumulationGaugeCountsEveryPiece)
+{
+    // fanIn + 2 > B = 16: the instruction is priced as a chain of
+    // PAccum<4> pieces, and the gauge must see the whole chain (the
+    // chunks RunContext charges), on a memo hit as on the miss.
+    obs::Gauge &chunks =
+        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
+    for (int call = 0; call < 2; ++call) {
+        chunks.reset();
+        const auto stats =
+            model_.execute(PimOpcode::PAccum, 20, 68, 1 << 16);
+        EXPECT_GT(stats.chunksMoved, 0.0);
+        EXPECT_EQ(chunks.value(), stats.chunksMoved) << "call " << call;
+    }
+}
+
+void
+expectIdentical(const PimExecStats &got, const PimExecStats &want)
+{
+    EXPECT_EQ(got.timeNs, want.timeNs);
+    EXPECT_EQ(got.energyPj, want.energyPj);
+    EXPECT_EQ(got.commands.acts, want.commands.acts);
+    EXPECT_EQ(got.commands.reads, want.commands.reads);
+    EXPECT_EQ(got.commands.writes, want.commands.writes);
+    EXPECT_EQ(got.commands.pres, want.commands.pres);
+    EXPECT_EQ(got.chunksMoved, want.chunksMoved);
+    EXPECT_EQ(got.chunkGranularity, want.chunkGranularity);
+    EXPECT_EQ(got.supported, want.supported);
+}
+
+TEST(PimModelMemo, WarmInstanceMatchesAFreshOneOnEveryPaperShape)
+{
+    // A fresh instance's first call is the unmemoized pricing path; on
+    // every instruction shape in the paper traces, a memo hit on a
+    // warm instance must return exactly what it returns.
+    PimConfig noCp = PimConfig::nearBankA100();
+    noCp.columnPartition = false;
+    PimConfig degraded = PimConfig::nearBankA100();
+    for (size_t b = 0; b < 32; ++b)
+        degraded.offlineBanks.push_back(b);
+    degraded.quarantinedLanes = 4;
+    const std::vector<std::pair<DramConfig, PimConfig>> devices = {
+        {DramConfig::hbm2A100(), PimConfig::nearBankA100()},
+        {DramConfig::hbm2A100(), PimConfig::customHbmA100()},
+        {DramConfig::gddr6xRtx4090(), PimConfig::nearBankRtx4090()},
+        {DramConfig::hbm2A100(), noCp},
+        {DramConfig::hbm2A100(), degraded},
+    };
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    obs::Counter &instructions = registry.counter("pim.model.instructions");
+    obs::Counter &hits = registry.counter("pim.model.cache_hits");
+    obs::Counter &misses = registry.counter("pim.model.cache_misses");
+    const auto workloads = makeAllWorkloads();
+
+    for (size_t d = 0; d < devices.size(); ++d) {
+        const auto &[dram, pim] = devices[d];
+        SCOPED_TRACE("device " + std::to_string(d));
+        // The execute() calls a fault-free run of every paper trace
+        // makes on this device, in trace order.
+        using Key = std::tuple<PimOpcode, size_t, size_t, size_t>;
+        std::vector<Key> calls;
+        std::set<Key> shapes;
+        for (const auto &[info, seq] : workloads) {
+            for (const KernelOp &op : seq.ops) {
+                if (!op.pimEligible)
+                    continue;
+                const PimOpcode opcode = AnaheimFramework::opcodeFor(op.type);
+                if (!pimInstrSupported(opcode, op.fanIn, pim.bufferEntries))
+                    continue;
+                calls.emplace_back(opcode, op.fanIn, op.limbs, op.n);
+                shapes.insert(calls.back());
+            }
+        }
+        ASSERT_GT(calls.size(), shapes.size());
+
+        const PimKernelModel warm(dram, pim);
+        const uint64_t instructions0 = instructions.value();
+        const uint64_t hits0 = hits.value();
+        const uint64_t misses0 = misses.value();
+        for (const auto &[opcode, fanIn, limbs, n] : calls)
+            warm.execute(opcode, fanIn, limbs, n);
+        EXPECT_EQ(misses.value() - misses0, shapes.size());
+        EXPECT_EQ(hits.value() - hits0, calls.size() - shapes.size());
+        EXPECT_EQ(instructions.value() - instructions0, calls.size());
+
+        for (const auto &[opcode, fanIn, limbs, n] : shapes) {
+            SCOPED_TRACE(std::string(pimOpcodeName(opcode)) + " fanIn " +
+                         std::to_string(fanIn) + " limbs " +
+                         std::to_string(limbs) + " n " + std::to_string(n));
+            const PimExecStats cold =
+                PimKernelModel(dram, pim).execute(opcode, fanIn, limbs, n);
+            expectIdentical(warm.execute(opcode, fanIn, limbs, n), cold);
+        }
+    }
+}
 
 TEST_F(PimFunctionalTest, UnaryOpsRejectEmptyOperands)
 {
