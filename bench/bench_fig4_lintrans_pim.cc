@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
@@ -24,13 +25,14 @@ printGantt(const char *label, const RunResult &result)
 {
     // Condense the timeline into phase segments.
     std::printf("  %-12s total %8.2f us | ", label, result.totalNs * 1e-3);
+    const auto key = [&](size_t i) {
+        const GanttEntry &entry = result.timeline[i];
+        return std::string(entry.device) + "/" + std::string(entry.phase);
+    };
     std::string lastKey;
     double segStart = 0.0;
     for (size_t i = 0; i <= result.timeline.size(); ++i) {
-        const bool flush = i == result.timeline.size() ||
-                           result.timeline[i].device + "/" +
-                                   result.timeline[i].phase !=
-                               lastKey;
+        const bool flush = i == result.timeline.size() || key(i) != lastKey;
         if (flush && !lastKey.empty()) {
             const double end = i == result.timeline.size()
                                    ? result.totalNs
@@ -39,8 +41,7 @@ printGantt(const char *label, const RunResult &result)
                         (end - segStart) * 1e-3);
         }
         if (i < result.timeline.size() && flush) {
-            lastKey = result.timeline[i].device + "/" +
-                      result.timeline[i].phase;
+            lastKey = key(i);
             segStart = result.timeline[i].startNs;
         }
     }

@@ -134,6 +134,9 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
     windowNs_ = static_cast<double>(config_.dram.timing.tREFI) *
                 config_.dram.timing.tCkNs;
     nextScrubNs_ = scrubber_ ? rc_.scrub.intervalNs : 0.0;
+    // One entry per op on a fault-free run; recovery actions and
+    // fallbacks may grow it once more.
+    result_.timeline.reserve(seq_.ops.size());
 }
 
 const PimKernelModel &
@@ -179,7 +182,7 @@ RunContext::refreshActiveFaults()
 }
 
 void
-RunContext::charge(const std::string &phase, const char *device,
+RunContext::charge(std::string_view phase, std::string_view device,
                    double durNs, double energyPj, BoundBy bound,
                    KernelClass cls)
 {
@@ -190,15 +193,21 @@ RunContext::charge(const std::string &phase, const char *device,
     GanttEntry &entry = result_.timeline.emplace_back();
     entry.phase = phase;
     entry.device = device;
-    entry.cls = cls;
     entry.startNs = clock_;
     clock_ += durNs;
     entry.endNs = clock_;
     entry.energyPj = energyPj;
+    entry.cls = cls;
     entry.bound = bound;
     // The duration itself, not endNs - startNs, so category totals are
-    // the exact sums of what each step charged.
-    result_.timeNsByCategory[breakdownCategory(entry)] += durNs;
+    // the exact sums of what each step charged, in charge order.
+    const std::string_view category = breakdownCategory(entry);
+    auto it = categoryNs_.begin();
+    while (it != categoryNs_.end() && it->first != category)
+        ++it;
+    if (it == categoryNs_.end())
+        it = categoryNs_.emplace(it, category, 0.0);
+    it->second += durNs;
     result_.energyPj += energyPj;
 }
 
@@ -696,6 +705,8 @@ RunContext::finish()
         result_.pimCapacityFraction = health_->capacityFraction();
     }
     result_.pimOffline = pimOffline_;
+    for (const auto &[category, ns] : categoryNs_)
+        result_.timeNsByCategory.emplace(category, ns);
     // The timeline needs no sort: charge() appends at the clock and
     // the clock only moves forward, so append order is time order.
     result_.totalNs = clock_;

@@ -19,7 +19,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "anaheim/framework.h"
@@ -135,8 +136,9 @@ class RunContext
     /** The one writer of the simulated timeline: appends an entry of
      *  `durNs` at the run clock, advances the clock past it and adds
      *  the duration (under breakdownCategory) and energy to the run
-     *  totals. Maintenance phases pass the defaults. */
-    void charge(const std::string &phase, const char *device,
+     *  totals. `phase` and `device` must be static storage (see
+     *  GanttEntry). Maintenance phases pass the defaults. */
+    void charge(std::string_view phase, std::string_view device,
                 double durNs, double energyPj,
                 BoundBy bound = BoundBy::None,
                 KernelClass cls = KernelClass::ElementWise);
@@ -168,6 +170,10 @@ class RunContext
     const OpSequence &seq_;
 
     RunResult result_;
+    /** Per-category charged time in first-charged order; finish()
+     *  folds it into result_.timeNsByCategory. A run has about a dozen
+     *  categories, so a linear scan beats a string-keyed map. */
+    std::vector<std::pair<std::string_view, double>> categoryNs_;
     double clock_ = 0.0;
     bool prevWasPim_ = false;
     bool finished_ = false;

@@ -59,8 +59,7 @@ makeHelrWorkload(const TraceParams &params)
     // Shrink element-wise/plaintext work of the transforms to the
     // 196-slot scale by dropping the MAC accumulations' fan-in.
     for (auto &op : boot.ops) {
-        if (op.phase == std::string("MAC") ||
-            op.phase == std::string("KeyMult")) {
+        if (op.phase == "MAC" || op.phase == "KeyMult") {
             // Keep one quarter of the rotation work.
             op.limbs = std::max<size_t>(1, op.limbs / 4);
             for (auto &operand : op.reads)

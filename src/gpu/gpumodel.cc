@@ -127,8 +127,12 @@ GpuModel::traffic(const KernelOp &op, bool fusedWithProducer,
 GpuKernelStats
 GpuModel::run(const KernelOp &op, const KernelTraffic &traffic) const
 {
+    // One class and one int-op count per kernel: every term below
+    // prices the same values.
+    const KernelClass cls = kernelClass(op.type);
+    const double intOps = op.intOps();
     double efficiency = 1.0;
-    switch (kernelClass(op.type)) {
+    switch (cls) {
       case KernelClass::NttIntt:
         efficiency = profile_.nttEfficiency;
         break;
@@ -144,12 +148,10 @@ GpuModel::run(const KernelOp &op, const KernelTraffic &traffic) const
     GpuKernelStats stats;
     stats.traffic = traffic;
     stats.computeNs =
-        op.intOps() / (config_.intTops * 1e3 * efficiency); // TOPS->ops/ns
+        intOps / (config_.intTops * 1e3 * efficiency); // TOPS->ops/ns
     const double effectiveBw = config_.dramBwGBs *
-                               (kernelClass(op.type) ==
-                                        KernelClass::ElementWise ||
-                                    kernelClass(op.type) ==
-                                        KernelClass::Automorphism
+                               (cls == KernelClass::ElementWise ||
+                                        cls == KernelClass::Automorphism
                                     ? profile_.elementWiseEfficiency
                                     : 1.0) *
                                config_.bwEfficiency;
@@ -157,7 +159,7 @@ GpuModel::run(const KernelOp &op, const KernelTraffic &traffic) const
     stats.timeNs = std::max(stats.computeNs, stats.memoryNs) +
                    config_.launchOverheadUs * 1e3;
 
-    stats.energyPj = op.intOps() * config_.energyPerIntOpPj +
+    stats.energyPj = intOps * config_.energyPerIntOpPj +
                      traffic.l2Bytes * config_.energyPerL2BytePj +
                      traffic.total() * config_.energyPerDramBytePj +
                      stats.timeNs * config_.idlePowerW * 1e3; // W*ns -> pJ
@@ -166,14 +168,14 @@ GpuModel::run(const KernelOp &op, const KernelTraffic &traffic) const
     // name lookup once per process, then relaxed atomic adds).
     static obs::Counter &kernels =
         obs::MetricsRegistry::global().counter("gpu.kernels");
-    static obs::Gauge &intOps =
+    static obs::Gauge &intOpsGauge =
         obs::MetricsRegistry::global().gauge("gpu.int_ops");
     static obs::Gauge &dramBytes =
         obs::MetricsRegistry::global().gauge("gpu.dram_bytes");
     static obs::Counter &memoryBound =
         obs::MetricsRegistry::global().counter("gpu.memory_bound_kernels");
     kernels.add();
-    intOps.add(op.intOps());
+    intOpsGauge.add(intOps);
     dramBytes.add(traffic.total());
     if (stats.memoryBound())
         memoryBound.add();

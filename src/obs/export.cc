@@ -68,7 +68,7 @@ formatDouble(double value)
 }
 
 std::string
-jsonEscape(const std::string &value)
+jsonEscape(std::string_view value)
 {
     std::string out;
     out.reserve(value.size());
@@ -183,7 +183,7 @@ chromeTraceJson(const TraceCollector &collector)
         const bool maintenance =
             entry.bound == BoundBy::None &&
             (entry.device == "DRAM" || entry.device == "GPU");
-        const std::string &lane = maintenance ? entry.phase : entry.device;
+        const std::string lane(maintenance ? entry.phase : entry.device);
         const uint64_t pid = kSimPidBase + run;
         const uint64_t tid = laneTid(pid, lane);
         std::ostringstream body;

@@ -20,6 +20,7 @@
 #define ANAHEIM_OBS_EXPORT_H
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,7 +80,7 @@ bool writePrometheus(
     TimeSeriesRegistry &seriesRegistry = TimeSeriesRegistry::global());
 
 /** JSON string escaping shared by the exporters. */
-std::string jsonEscape(const std::string &value);
+std::string jsonEscape(std::string_view value);
 
 /** Number formatting shared by the exporters and configSummary
  *  ("%.10g"). */

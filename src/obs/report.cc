@@ -45,7 +45,7 @@ buildAttribution(const RunResult &result)
     AttributionReport report;
     for (const GanttEntry &entry : result.timeline) {
         AttributionCell &cell =
-            report.rows[breakdownCategory(entry)]
+            report.rows[std::string(breakdownCategory(entry))]
                        [attributionMode(entry)];
         const double durNs = entry.endNs - entry.startNs;
         cell.ns += durNs;

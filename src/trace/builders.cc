@@ -196,7 +196,7 @@ buildHRot(const TraceParams &params, const TraceOptions &options)
     // first ModDown op in the keyswitch trace.
     size_t insertAt = ks.ops.size();
     for (size_t i = 0; i < ks.ops.size(); ++i) {
-        if (ks.ops[i].phase == std::string("ModDown")) {
+        if (ks.ops[i].phase == "ModDown") {
             insertAt = i;
             break;
         }
@@ -276,7 +276,7 @@ buildLinearTransform(const TraceParams &params, size_t k,
         const OpSequence ks = buildKeySwitch(params, "KeyMult");
         // ModUp part of the keyswitch trace (everything before KeyMult).
         for (const auto &op : ks.ops) {
-            if (op.phase == std::string("ModUp"))
+            if (op.phase == "ModUp")
                 seq.ops.push_back(op);
         }
         for (size_t i = 0; i < rotations; ++i) {
@@ -320,7 +320,7 @@ buildLinearTransform(const TraceParams &params, size_t k,
         }
         // One hoisted ModDown for the baby accumulation.
         for (const auto &op : ks.ops) {
-            if (op.phase == std::string("ModDown"))
+            if (op.phase == "ModDown")
                 seq.ops.push_back(op);
         }
         // Giant-step rotations: one full keyswitch per remaining group.

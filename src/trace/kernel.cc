@@ -61,7 +61,7 @@ kernelClassName(KernelClass cls)
     return "?";
 }
 
-std::string
+std::string_view
 breakdownCategory(const GanttEntry &entry)
 {
     if (entry.device == "PIM")

@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace anaheim {
@@ -67,24 +69,33 @@ enum class BoundBy {
 };
 
 /** One interval of simulated time: the only record of where a run's
- *  (or a serving scheduler's) device time went. */
+ *  (or a serving scheduler's) device time went.
+ *
+ *  Names are views of static-storage strings (string literals: the
+ *  trace builders' phases, the maintenance phases, the device and
+ *  serve-event names), never of a trace's or a caller's buffer, so an
+ *  entry stays valid after the trace that produced it is gone. The
+ *  record is trivially copyable and 64 bytes on LP64 targets; a
+ *  paper-scale pass writes millions of them. */
 struct GanttEntry {
-    std::string phase;
+    std::string_view phase;
     /** "GPU", "PIM" or "DRAM" (maintenance); serve events name their
      *  own lane ("Preempt", "Shed", "Alert"). */
-    std::string device;
-    KernelClass cls = KernelClass::ElementWise;
+    std::string_view device;
     double startNs = 0.0;
     double endNs = 0.0;
     double energyPj = 0.0;
+    KernelClass cls = KernelClass::ElementWise;
     BoundBy bound = BoundBy::None;
 };
+static_assert(std::is_trivially_copyable_v<GanttEntry>);
 
 /** The paper breakdown category of an entry: "PIM" for PIM work, the
  *  kernel-class name for GPU kernels, the phase for everything else
  *  (maintenance, serve events). Keys `RunResult::timeNsByCategory`,
- *  the attribution rows and the exported trace's `cat`. */
-std::string breakdownCategory(const GanttEntry &entry);
+ *  the attribution rows and the exported trace's `cat`. A view of
+ *  static storage, like the entry's names. */
+std::string_view breakdownCategory(const GanttEntry &entry);
 
 /** How an operand behaves in the cache (MAD [2] caching model). */
 enum class OperandKind {
@@ -103,8 +114,9 @@ struct Operand {
 struct KernelOp {
     KernelType type;
     /** Phase tag for Gantt charts / grouping: "ModUp", "KeyMult",
-     *  "AutAccum", "ModDown", ... */
-    std::string phase;
+     *  "AutAccum", "ModDown", ... A view of a string literal: the run's
+     *  timeline entries keep it after the trace is destroyed. */
+    std::string_view phase;
     /** Ring degree. */
     size_t n = 0;
     /** Limbs of output processed (drives the int-op count). */

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
 #include "gpu/gpumodel.h"
@@ -152,6 +155,38 @@ TEST_F(FrameworkTest, TimelineIsContiguousAndOrdered)
         }
     }
     EXPECT_EQ(result.timeline.back().endNs, result.totalNs);
+}
+
+TEST_F(FrameworkTest, TimelineNamesOutliveTheTrace)
+{
+    // Timeline names are views of static storage, never of the trace:
+    // the trace here dies at the end of the full expression, before
+    // any entry is read. A name that pointed into it would dangle
+    // (and fail under ASan).
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    config.resilience.checksumEnabled = true;
+    config.resilience.scrub.enabled = true;
+    config.resilience.scrub.intervalNs = 50.0e3;
+    config.resilience.checkpoint.enabled = true;
+    config.resilience.checkpoint.intervalSegments = 8;
+    const RunResult result =
+        AnaheimFramework(config).execute(buildHMult(TraceParams{}));
+
+    std::set<std::string> phases = {"Verify", "Scrub", "Checkpoint"};
+    for (const KernelOp &op : buildHMult(TraceParams{}).ops)
+        phases.emplace(op.phase);
+    const std::set<std::string> devices = {"GPU", "PIM", "DRAM"};
+    std::set<std::string> seen;
+    ASSERT_FALSE(result.timeline.empty());
+    for (const GanttEntry &entry : result.timeline) {
+        const std::string phase(entry.phase);
+        EXPECT_TRUE(phases.count(phase)) << phase;
+        EXPECT_TRUE(devices.count(std::string(entry.device)))
+            << entry.device;
+        seen.insert(phase);
+    }
+    EXPECT_TRUE(seen.count("Verify"));
+    EXPECT_TRUE(seen.count("Checkpoint"));
 }
 
 TEST_F(FrameworkTest, VariantSpeedupOrdering)

@@ -4,7 +4,8 @@
  * trace document carries the host span, both device lanes and the
  * self-describing header, and one simulated event per timeline entry;
  * the attribution report's category totals reproduce
- * `RunResult::timeNsByCategory`; the timeline leaves execute() tiled
+ * `RunResult::timeNsByCategory` on clean, recovery and degraded runs;
+ * the timeline leaves execute() tiled
  * in clock order, also with scrub, checkpoints and fault rollbacks on;
  * metrics exports carry the header, their entries and the timeseries
  * fields. The schema itself is gated by scripts/validate_trace.py
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "anaheim/framework.h"
 #include "obs/export.h"
@@ -32,6 +34,47 @@ smallRun(AnaheimConfig config = AnaheimConfig::a100NearBank())
 {
     OpSequence seq = buildHMult(TraceParams{});
     seq.name = "hmult";
+    return AnaheimFramework(config).execute(seq);
+}
+
+/** Two HMults with scrub passes, checkpoints, checksum verifies and
+ *  fault-driven rollbacks charged between the kernels. */
+RunResult
+recoveryRun()
+{
+    OpSequence seq = buildHMult(TraceParams{});
+    seq.append(buildHMult(TraceParams{}));
+    seq.name = "hmult2";
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    config.resilience.ber = 1e-5;
+    config.resilience.maxPimRetries = 0;
+    config.resilience.retentionBerPerWindow = 1e-7;
+    config.resilience.checksumEnabled = true;
+    config.resilience.scrub.enabled = true;
+    config.resilience.scrub.intervalNs = 50.0e3;
+    config.resilience.checkpoint.enabled = true;
+    config.resilience.checkpoint.intervalSegments = 8;
+    config.resilience.checkpoint.maxRollbacks = 32;
+    return AnaheimFramework(config).execute(seq);
+}
+
+/** Two HMults on a device with one permanently failed bank and health
+ *  monitoring on: the bank is quarantined and the footprint migrates. */
+RunResult
+degradedRun()
+{
+    OpSequence seq = buildHMult(TraceParams{});
+    seq.append(buildHMult(TraceParams{}));
+    seq.name = "hmult2_degraded";
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    ResilienceConfig &rc = config.resilience;
+    rc.checksumEnabled = true;
+    rc.checkpoint.enabled = true;
+    rc.checkpoint.intervalSegments = 8;
+    rc.checkpoint.maxRollbacks = 32;
+    rc.health.enabled = true;
+    rc.health.permanentThreshold = 2;
+    rc.permanentBanks.push_back({2, 17});
     return AnaheimFramework(config).execute(seq);
 }
 
@@ -135,23 +178,42 @@ TEST_F(ExportTest, WriteAndValidateTraceFile)
 
 TEST_F(ExportTest, AttributionMatchesTimeNsByCategory)
 {
-    const RunResult result = smallRun();
-    const AttributionReport report = buildAttribution(result);
-    const auto totals = report.categoryTotalsNs();
+    // A clean run, and runs whose maintenance phases (Scrub /
+    // Checkpoint / Rollback / Verify, then Quarantine / Migrate) go
+    // through the per-run category fold as their own keys.
+    struct Case {
+        const char *name;
+        RunResult result;
+        std::vector<std::string> maintenance;
+    };
+    const Case cases[] = {
+        {"clean", smallRun(), {}},
+        {"recovery", recoveryRun(),
+         {"Scrub", "Checkpoint", "Rollback", "Verify"}},
+        {"degraded", degradedRun(), {"Verify", "Quarantine", "Migrate"}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const RunResult &result = c.result;
+        const AttributionReport report = buildAttribution(result);
+        const auto totals = report.categoryTotalsNs();
+        for (const std::string &phase : c.maintenance)
+            EXPECT_TRUE(result.timeNsByCategory.count(phase)) << phase;
 
-    // Same keys, same totals (to rounding): the report re-derives the
-    // category split from the timeline that execute() streamed into
-    // timeNsByCategory.
-    EXPECT_EQ(totals.size(), result.timeNsByCategory.size());
-    for (const auto &[category, ns] : result.timeNsByCategory) {
-        ASSERT_TRUE(totals.count(category)) << category;
-        EXPECT_NEAR(totals.at(category), ns, 1e-6 * (1.0 + ns))
-            << category;
+        // Same keys, same totals (to rounding): the report re-derives
+        // the category split from the timeline whose charges execute()
+        // folded into timeNsByCategory.
+        EXPECT_EQ(totals.size(), result.timeNsByCategory.size());
+        for (const auto &[category, ns] : result.timeNsByCategory) {
+            ASSERT_TRUE(totals.count(category)) << category;
+            EXPECT_NEAR(totals.at(category), ns, 1e-6 * (1.0 + ns))
+                << category;
+        }
+        EXPECT_NEAR(report.totalNs, result.totalNs,
+                    1e-6 * (1.0 + result.totalNs));
+        EXPECT_NEAR(report.totalEnergyPj, result.energyPj,
+                    1e-6 * (1.0 + result.energyPj));
     }
-    EXPECT_NEAR(report.totalNs, result.totalNs,
-                1e-6 * (1.0 + result.totalNs));
-    EXPECT_NEAR(report.totalEnergyPj, result.energyPj,
-                1e-6 * (1.0 + result.energyPj));
 }
 
 TEST_F(ExportTest, AttributionReportShape)
@@ -200,20 +262,7 @@ TEST_F(ExportTest, TimelineLeavesExecuteInCanonicalOrder)
     // Append order is clock order and nothing sorts the timeline: the
     // entries tile [0, totalNs] exactly, also with scrub passes,
     // checkpoints and fault-driven rollbacks charged between kernels.
-    OpSequence seq = buildHMult(TraceParams{});
-    seq.append(buildHMult(TraceParams{}));
-    seq.name = "hmult2";
-    AnaheimConfig config = AnaheimConfig::a100NearBank();
-    config.resilience.ber = 1e-5;
-    config.resilience.maxPimRetries = 0;
-    config.resilience.retentionBerPerWindow = 1e-7;
-    config.resilience.checksumEnabled = true;
-    config.resilience.scrub.enabled = true;
-    config.resilience.scrub.intervalNs = 50.0e3;
-    config.resilience.checkpoint.enabled = true;
-    config.resilience.checkpoint.intervalSegments = 8;
-    config.resilience.checkpoint.maxRollbacks = 32;
-    const RunResult result = AnaheimFramework(config).execute(seq);
+    const RunResult result = recoveryRun();
     EXPECT_GT(result.resilience.scrubPasses, 0u);
     EXPECT_GT(result.resilience.checkpoints, 0u);
     EXPECT_GT(result.resilience.rollbacks, 0u);

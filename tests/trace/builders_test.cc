@@ -83,7 +83,7 @@ TEST(TraceBuilders, HRotAutomorphismBetweenKeyMultAndModDown)
             autIdx = static_cast<int>(i);
         if (seq.ops[i].type == KernelType::EwPAccum && keyMultIdx < 0)
             keyMultIdx = static_cast<int>(i);
-        if (seq.ops[i].phase == std::string("ModDown") && modDownIdx < 0)
+        if (seq.ops[i].phase == "ModDown" && modDownIdx < 0)
             modDownIdx = static_cast<int>(i);
     }
     ASSERT_GE(autIdx, 0);
@@ -110,7 +110,7 @@ TEST(TraceBuilders, HoistingMovesElementWiseToExtendedModulus)
         TraceParams{}, 8, TraceLtAlgorithm::Hoisting);
     size_t maxMacLimbs = 0;
     for (const auto &op : hoisted.ops) {
-        if (op.phase == std::string("MAC"))
+        if (op.phase == "MAC")
             maxMacLimbs = std::max(maxMacLimbs, op.limbs);
     }
     EXPECT_EQ(maxMacLimbs, TraceParams{}.extended());
