@@ -38,7 +38,7 @@ PimMemoryPlanner::planWith(const OpSequence &seq,
         ColumnPartitionLayout layout(dram_, pim.banksPerDieGroup, op.n,
                                      8, pim.offlineBanks);
         const size_t columnGroups = layout.columnGroups();
-        auto rowsFor = [&](const std::vector<Operand> &operands) {
+        auto rowsFor = [&](const auto &operands) {
             // Limbs per die group (each group holds its own share).
             size_t totalLimbs = 0;
             for (const auto &operand : operands)

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "obs/trace.h"
 #include "planner.h"
 #include "trace/validate.h"
 
@@ -31,28 +32,24 @@ pimWordsWritten(const KernelOp &op)
     return limbs * op.n;
 }
 
-/** Live ciphertext footprint: the working/intermediate operand bytes
- *  of the widest op (Evk / plaintext constants are reproducible from
- *  the keys and never need checkpointing or scrubbing). */
+/** Working/intermediate operand bytes of one op: the live ciphertext
+ *  it touches (Evk / plaintext constants are reproducible from the keys
+ *  and never need checkpointing or scrubbing). */
 double
-liveFootprintBytes(const OpSequence &seq)
+liveOperandBytes(const KernelOp &op)
 {
-    double live = 0.0;
-    for (const KernelOp &op : seq.ops) {
-        double bytes = 0.0;
-        for (const auto &operand : op.reads) {
-            if (operand.kind == OperandKind::Working ||
-                operand.kind == OperandKind::Intermediate)
-                bytes += operand.limbs * limbBytes(op.n);
-        }
-        for (const auto &operand : op.writes) {
-            if (operand.kind == OperandKind::Working ||
-                operand.kind == OperandKind::Intermediate)
-                bytes += operand.limbs * limbBytes(op.n);
-        }
-        live = std::max(live, bytes);
+    double bytes = 0.0;
+    for (const auto &operand : op.reads) {
+        if (operand.kind == OperandKind::Working ||
+            operand.kind == OperandKind::Intermediate)
+            bytes += operand.limbs * limbBytes(op.n);
     }
-    return live;
+    for (const auto &operand : op.writes) {
+        if (operand.kind == OperandKind::Working ||
+            operand.kind == OperandKind::Intermediate)
+            bytes += operand.limbs * limbBytes(op.n);
+    }
+    return bytes;
 }
 
 } // namespace
@@ -61,7 +58,25 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
                        uint64_t seedSalt)
     : fw_(fw), config_(fw.config_), rc_(fw.config_.resilience), seq_(seq)
 {
-    checkTrace(seq_);
+    OBS_SPAN("anaheim/run_context_init");
+    // One walk over the trace: validity, the live footprint (the widest
+    // op's) and where each op runs. An invalid trace is rejected
+    // through checkTrace so the message names its first problem.
+    // Nothing is cached on the sequence: its ops may change between
+    // runs.
+    if (!validateSequenceHeader(seq_))
+        checkTrace(seq_);
+    onPimFlags_.resize(seq_.ops.size());
+    for (size_t i = 0; i < seq_.ops.size(); ++i) {
+        const KernelOp &op = seq_.ops[i];
+        if (!validateOp(op, seq_.n, i))
+            checkTrace(seq_);
+        liveBytes_ = std::max(liveBytes_, liveOperandBytes(op));
+        onPimFlags_[i] =
+            config_.pimEnabled && op.pimEligible &&
+            pimInstrSupported(AnaheimFramework::opcodeFor(op.type),
+                              op.fanIn, config_.pim.bufferEntries);
+    }
 
     // Fault/ECC event model for the PIM datapath. Only constructed
     // when faults are configured: the all-rates-zero path is untouched.
@@ -113,23 +128,11 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
     opStreams_ = static_cast<uint64_t>(seq_.ops.size()) + 1;
     streamBase_ = seedSalt * 0x9E3779B97F4A7C15ULL;
 
-    // Fusion analysis: op i consumes its predecessor's intermediates
-    // from cache when both run on the GPU in the same phase.
-    onPimFlags_.resize(seq_.ops.size());
-    for (size_t i = 0; i < seq_.ops.size(); ++i) {
-        const KernelOp &op = seq_.ops[i];
-        onPimFlags_[i] =
-            config_.pimEnabled && op.pimEligible &&
-            pimInstrSupported(AnaheimFramework::opcodeFor(op.type),
-                              op.fanIn, config_.pim.bufferEntries);
-    }
-
     checksumOn_ = rc_.checksumEnabled;
     if (rc_.scrub.enabled)
         scrubber_.emplace(config_.dram, rc_.scrub);
     // GB/s is bytes-per-ns at the 1e9 scale, so bytes / bw is ns.
     extBw_ = config_.dram.externalBwGBs;
-    liveBytes_ = liveFootprintBytes(seq_);
     residentWords_ = static_cast<size_t>(liveBytes_ / 4.0);
     windowNs_ = static_cast<double>(config_.dram.timing.tREFI) *
                 config_.dram.timing.tCkNs;

@@ -1,5 +1,7 @@
 #include "workloads.h"
 
+#include "obs/trace.h"
+
 namespace anaheim {
 
 namespace {
@@ -178,6 +180,7 @@ makeResNet18AespaWorkload(const TraceParams &params)
 std::vector<std::pair<WorkloadInfo, OpSequence>>
 makeAllWorkloads(const TraceParams &params)
 {
+    OBS_SPAN("trace/make_all_workloads");
     std::vector<std::pair<WorkloadInfo, OpSequence>> workloads;
     workloads.emplace_back(WorkloadInfo{"Boot", 11.0},
                            makeBootWorkload(params));

@@ -11,8 +11,8 @@ namespace {
 
 KernelOp
 make(KernelType type, const char *phase, size_t n, size_t limbs,
-     size_t fanIn, std::vector<Operand> reads, std::vector<Operand> writes,
-     bool pimEligible)
+     size_t fanIn, decltype(KernelOp::reads) reads,
+     decltype(KernelOp::writes) writes, bool pimEligible)
 {
     KernelOp op;
     op.type = type;
@@ -20,8 +20,8 @@ make(KernelType type, const char *phase, size_t n, size_t limbs,
     op.n = n;
     op.limbs = limbs;
     op.fanIn = fanIn;
-    op.reads = std::move(reads);
-    op.writes = std::move(writes);
+    op.reads = reads;
+    op.writes = writes;
     op.pimEligible = pimEligible;
     return op;
 }

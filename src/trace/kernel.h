@@ -16,11 +16,15 @@
 #ifndef ANAHEIM_TRACE_KERNEL_H
 #define ANAHEIM_TRACE_KERNEL_H
 
+#include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "common/status.h"
 
 namespace anaheim {
 
@@ -111,6 +115,42 @@ struct Operand {
     size_t limbs;
 };
 
+/** A fixed-capacity operand list held inline in its KernelOp, with the
+ *  part of the std::vector surface the builders and models use. Adding
+ *  more than `Capacity` operands throws AnaheimError(InvalidArgument);
+ *  it never truncates. */
+template <size_t Capacity>
+class InlineOperands {
+  public:
+    InlineOperands() = default;
+    InlineOperands(std::initializer_list<Operand> operands)
+    {
+        for (const Operand &operand : operands)
+            push_back(operand);
+    }
+
+    void
+    push_back(const Operand &operand)
+    {
+        ANAHEIM_CHECK(size_ < Capacity, InvalidArgument,
+                      "kernel op holds at most ", Capacity,
+                      " operands on this side");
+        items_[size_++] = operand;
+    }
+    void clear() { size_ = 0; }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Operand *begin() { return items_.data(); }
+    Operand *end() { return items_.data() + size_; }
+    const Operand *begin() const { return items_.data(); }
+    const Operand *end() const { return items_.data() + size_; }
+
+  private:
+    std::array<Operand, Capacity> items_{};
+    size_t size_ = 0;
+};
+
 struct KernelOp {
     KernelType type;
     /** Phase tag for Gantt charts / grouping: "ModUp", "KeyMult",
@@ -124,8 +164,13 @@ struct KernelOp {
     /** Accumulation fan-in K for PAccum/CAccum; input limb count for
      *  BConv. */
     size_t fanIn = 1;
-    std::vector<Operand> reads;
-    std::vector<Operand> writes;
+    /** Three reads cover the widest op: the unfused (basicFuse off)
+     *  linear-transform EwPMac reads rotated pair, plaintext and
+     *  accumulator. */
+    static constexpr size_t kMaxReads = 3;
+    static constexpr size_t kMaxWrites = 1;
+    InlineOperands<kMaxReads> reads;
+    InlineOperands<kMaxWrites> writes;
     /** Whether Anaheim offloads this kernel to PIM when enabled. */
     bool pimEligible = false;
     /** Id linking kernels fused into one launch (-1: not fused). */
@@ -139,6 +184,7 @@ struct KernelOp {
     double readBytes() const;
     double writeBytes() const;
 };
+static_assert(std::is_trivially_copyable_v<KernelOp>);
 
 /** A full workload/function trace plus its bookkeeping. */
 struct OpSequence {

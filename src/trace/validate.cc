@@ -4,49 +4,66 @@
 
 namespace anaheim {
 
+bool
+validateSequenceHeader(const OpSequence &seq, std::vector<TraceIssue> *issues)
+{
+    if (seq.n != 0)
+        return true;
+    if (issues)
+        issues->push_back({0, "sequence has no ring degree"});
+    return false;
+}
+
+bool
+validateOp(const KernelOp &op, size_t seqN, size_t opIndex,
+           std::vector<TraceIssue> *issues)
+{
+    bool valid = true;
+    auto report = [&](const char *text) {
+        valid = false;
+        if (issues)
+            issues->push_back({opIndex, text});
+    };
+
+    if (op.n == 0)
+        report("op has zero ring degree");
+    if (op.limbs == 0)
+        report("op processes zero limbs");
+    if (op.n != 0 && seqN != 0 && op.n != seqN)
+        report("op ring degree differs from the sequence's");
+    if (op.fanIn == 0)
+        report("zero fan-in");
+    if (op.pimEligible && kernelClass(op.type) != KernelClass::ElementWise)
+        report("non-element-wise op marked PIM-eligible");
+    if (op.type != KernelType::Automorphism &&
+        kernelClass(op.type) == KernelClass::ElementWise) {
+        if (op.reads.empty() && op.type != KernelType::EwCAdd)
+            report("element-wise op reads nothing");
+        if (op.writes.empty())
+            report("element-wise op writes nothing");
+    }
+    for (const auto &operand : op.reads) {
+        if (operand.limbs == 0)
+            report("read operand with zero limbs");
+    }
+    for (const auto &operand : op.writes) {
+        if (operand.limbs == 0)
+            report("write operand with zero limbs");
+    }
+    if ((op.type == KernelType::EwPAccum ||
+         op.type == KernelType::EwCAccum) &&
+        op.fanIn < 1)
+        report("accumulation with no terms");
+    return valid;
+}
+
 std::vector<TraceIssue>
 validateTrace(const OpSequence &seq)
 {
     std::vector<TraceIssue> issues;
-    auto report = [&](size_t i, std::string text) {
-        issues.push_back({i, std::move(text)});
-    };
-
-    if (seq.n == 0)
-        report(0, "sequence has no ring degree");
-    for (size_t i = 0; i < seq.ops.size(); ++i) {
-        const KernelOp &op = seq.ops[i];
-        if (op.n == 0)
-            report(i, "op has zero ring degree");
-        if (op.limbs == 0)
-            report(i, "op processes zero limbs");
-        if (op.n != 0 && seq.n != 0 && op.n != seq.n)
-            report(i, "op ring degree differs from the sequence's");
-        if (op.fanIn == 0)
-            report(i, "zero fan-in");
-        if (op.pimEligible &&
-            kernelClass(op.type) != KernelClass::ElementWise)
-            report(i, "non-element-wise op marked PIM-eligible");
-        if (op.type != KernelType::Automorphism &&
-            kernelClass(op.type) == KernelClass::ElementWise) {
-            if (op.reads.empty() && op.type != KernelType::EwCAdd)
-                report(i, "element-wise op reads nothing");
-            if (op.writes.empty())
-                report(i, "element-wise op writes nothing");
-        }
-        for (const auto &operand : op.reads) {
-            if (operand.limbs == 0)
-                report(i, "read operand with zero limbs");
-        }
-        for (const auto &operand : op.writes) {
-            if (operand.limbs == 0)
-                report(i, "write operand with zero limbs");
-        }
-        if ((op.type == KernelType::EwPAccum ||
-             op.type == KernelType::EwCAccum) &&
-            op.fanIn < 1)
-            report(i, "accumulation with no terms");
-    }
+    validateSequenceHeader(seq, &issues);
+    for (size_t i = 0; i < seq.ops.size(); ++i)
+        validateOp(seq.ops[i], seq.n, i, &issues);
     return issues;
 }
 

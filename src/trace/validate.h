@@ -23,6 +23,19 @@ struct TraceIssue {
     std::string description;
 };
 
+/** The sequence-level rules. Returns whether they hold; when `issues`
+ *  is non-null, appends every problem found. */
+bool validateSequenceHeader(const OpSequence &seq,
+                            std::vector<TraceIssue> *issues = nullptr);
+
+/** The per-op rules for op `opIndex` of a sequence of ring degree
+ *  `seqN`. Returns whether the op is valid; when `issues` is non-null,
+ *  appends every problem found. Without `issues` it builds no strings,
+ *  so a caller already walking the ops can check each one in passing
+ *  and call checkTrace() on the first failure for the full message. */
+bool validateOp(const KernelOp &op, size_t seqN, size_t opIndex,
+                std::vector<TraceIssue> *issues = nullptr);
+
 /** Collect every structural problem in the sequence (empty == valid).*/
 std::vector<TraceIssue> validateTrace(const OpSequence &seq);
 

@@ -123,10 +123,11 @@ TEST(Metrics, HistogramDropsNonFiniteAndCountsThem)
 
 TEST(Metrics, HistogramCountMatchesBucketsUnderConcurrentResets)
 {
-    // count() derives from the same bucket array snapshot() reads, so
-    // even with reset() racing observe() every view stays internally
-    // consistent: count == sum of bucket counts, never a mix of
-    // pre-reset buckets with a post-reset total.
+    // count() is the sum of one read of the bucket array, the same
+    // array bucketCounts() reads. While reset() races observe(), two
+    // separate reads may straddle a reset, so the race only checks the
+    // view's shape (and gives the sanitizers something to watch); once
+    // the writers are joined, count() == Σ bucketCounts() exactly.
     Histogram &hist = MetricsRegistry::global().histogram(
         "test.metrics.race", {1.0, 10.0, 100.0});
     hist.reset();
@@ -140,21 +141,15 @@ TEST(Metrics, HistogramCountMatchesBucketsUnderConcurrentResets)
         for (int i = 0; i < 100; ++i)
             hist.reset();
     });
-    for (int i = 0; i < 200; ++i) {
-        const auto counts = hist.bucketCounts();
-        uint64_t total = 0;
-        for (uint64_t c : counts)
-            total += c;
-        // A bucketCounts() view must never imply more samples than the
-        // histogram has seen in total since the last racing reset; the
-        // derived count() is the same sum, so they agree by
-        // construction.
-        EXPECT_EQ(counts.size(), 4u);
-        EXPECT_LE(total, hist.count() + 200u);
-    }
+    for (int i = 0; i < 200; ++i)
+        EXPECT_EQ(hist.bucketCounts().size(), 4u);
     resetter.join();
     stop.store(true, std::memory_order_relaxed);
     observer.join();
+    uint64_t total = 0;
+    for (uint64_t c : hist.bucketCounts())
+        total += c;
+    EXPECT_EQ(hist.count(), total);
     hist.reset();
     hist.observe(2.0);
     EXPECT_EQ(hist.count(), 1u);

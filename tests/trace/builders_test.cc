@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "anaheim/framework.h"
+#include "support/error_matchers.h"
 #include "trace/builders.h"
 #include "trace/counting.h"
 
@@ -198,6 +202,43 @@ TEST_P(DnumSweepTest, EvkSizeGrowsWithDnum)
 
 INSTANTIATE_TEST_SUITE_P(Dnums, DnumSweepTest,
                          ::testing::Values<size_t>(2, 3, 4, 6));
+
+TEST(TraceOperands, OverCapacityThrowsAndNeverTruncates)
+{
+    const Operand a{OperandKind::Working, 1};
+    KernelOp op;
+    op.reads = {a, a, a};
+    EXPECT_ANAHEIM_ERROR(op.reads.push_back(a), InvalidArgument,
+                         "at most 3");
+    EXPECT_EQ(op.reads.size(), 3u);
+    EXPECT_ANAHEIM_ERROR((op.reads = {a, a, a, a}), InvalidArgument,
+                         "at most 3");
+    op.writes = {a};
+    EXPECT_ANAHEIM_ERROR(op.writes.push_back(a), InvalidArgument,
+                         "at most 1");
+    EXPECT_EQ(op.writes.size(), 1u);
+}
+
+TEST(TraceOperands, UnfusedHoistingBootReachesTheReadCapacity)
+{
+    // Without BasicFuse the linear transforms emit one EwPMac per
+    // diagonal reading rotated pair, plaintext and accumulator: the
+    // widest op any builder makes, which sizes KernelOp::kMaxReads.
+    TraceOptions noBasic;
+    noBasic.basicFuse = false;
+    const OpSequence seq = buildBootstrap(
+        TraceParams{}, 3.5, TraceLtAlgorithm::Hoisting, noBasic);
+    size_t maxReads = 0, maxWrites = 0;
+    for (const KernelOp &op : seq.ops) {
+        maxReads = std::max(maxReads, op.reads.size());
+        maxWrites = std::max(maxWrites, op.writes.size());
+    }
+    EXPECT_EQ(maxReads, KernelOp::kMaxReads);
+    EXPECT_EQ(maxWrites, KernelOp::kMaxWrites);
+    const RunResult result =
+        AnaheimFramework(AnaheimConfig::a100NearBank()).execute(seq);
+    EXPECT_GT(result.totalNs, 0.0);
+}
 
 } // namespace
 } // namespace anaheim
