@@ -151,8 +151,6 @@ struct ServeConfig {
      *  (same opcode/degree/limbs/fan-in -> one fused kernel, the
      *  followers skip the GPU<->PIM transition). */
     bool batching = true;
-    /** Ciphertexts per fused PIM dispatch. */
-    size_t maxBatch = 8;
     /** Clock GPU and PIM as independent resources so independent
      *  traces overlap; off = the serial back-to-back baseline. */
     bool overlap = true;

@@ -232,8 +232,6 @@ configSummary(const AnaheimConfig &config)
                     formatDouble(config.serve.offeredRps));
     kv.emplace_back("serve_batching",
                     config.serve.batching ? "true" : "false");
-    kv.emplace_back("serve_max_batch",
-                    std::to_string(config.serve.maxBatch));
     kv.emplace_back("serve_overlap",
                     config.serve.overlap ? "true" : "false");
     kv.emplace_back("serve_deadline_ns",

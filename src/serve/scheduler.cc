@@ -72,6 +72,9 @@ ServeStats::pimUtil() const
 namespace {
 
 constexpr size_t kNoStream = static_cast<size_t>(-1);
+/** Ciphertexts per fused PIM dispatch: the leader plus at most
+ *  kMaxBatch - 1 followers. */
+constexpr size_t kMaxBatch = 8;
 
 /** One client stream's live scheduling state. */
 struct StreamState {
@@ -854,8 +857,8 @@ ServeEngine::run()
                                      streams_[b].priority;
                           return a < b;
                       });
-            if (followers.size() > serve_.maxBatch - 1)
-                followers.resize(serve_.maxBatch - 1);
+            if (followers.size() > kMaxBatch - 1)
+                followers.resize(kMaxBatch - 1);
             end = stepStream(best, stepStart, false);
             for (const size_t s : followers)
                 end = stepStream(s, end, true);
@@ -887,7 +890,6 @@ ServeScheduler::ServeScheduler(const AnaheimFramework &fw,
     : fw_(fw), serve_(serve)
 {
     ANAHEIM_ASSERT(serve_.streams > 0, "serving needs >= 1 stream");
-    ANAHEIM_ASSERT(serve_.maxBatch > 0, "maxBatch must be >= 1");
     ANAHEIM_ASSERT(serve_.priorityClasses > 0,
                    "priorityClasses must be >= 1");
     ANAHEIM_ASSERT(serve_.rateLimitRps == 0.0 ||

@@ -4,7 +4,8 @@
  * (reuse, exception propagation, grain edge cases, the ANAHEIM_THREADS=1
  * serial fallback) and the determinism property — parallel and serial
  * executions of the limb-partitioned hot paths (NTT, BConv, keyswitch)
- * must produce bitwise-identical results on random polynomials.
+ * and of the column-partitioned bootstrap DFT-factor build must produce
+ * bitwise-identical results.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "boot/dft.h"
 #include "ckks/keys.h"
 #include "ckks/keyswitch.h"
 #include "common/parallel.h"
@@ -313,6 +315,30 @@ TEST_F(ParallelDeterminismTest, KeySwitchMatchesSerial)
 
     EXPECT_TRUE(d0s == d0p);
     EXPECT_TRUE(d1s == d1p);
+}
+
+TEST_F(ParallelDeterminismTest, DftFactorBuildMatchesSerial)
+{
+    // materialize() propagates one column per task through the butterfly
+    // stages (whose own parallelFor runs inline when nested).
+    const DftPlan plan(size_t{1} << 10, 2);
+    const DftPlan::Complex scale{0.75, -0.5};
+
+    setParallelThreads(1);
+    const auto ctsSerial = plan.coeffToSlotFactors(scale);
+    const auto stcSerial = plan.slotToCoeffFactors(scale);
+    setParallelThreads(4);
+    const auto ctsParallel = plan.coeffToSlotFactors(scale);
+    const auto stcParallel = plan.slotToCoeffFactors(scale);
+
+    ASSERT_EQ(ctsSerial.size(), ctsParallel.size());
+    for (size_t f = 0; f < ctsSerial.size(); ++f)
+        EXPECT_TRUE(ctsSerial[f].diagonals() == ctsParallel[f].diagonals())
+            << "CoeffToSlot factor " << f;
+    ASSERT_EQ(stcSerial.size(), stcParallel.size());
+    for (size_t f = 0; f < stcSerial.size(); ++f)
+        EXPECT_TRUE(stcSerial[f].diagonals() == stcParallel[f].diagonals())
+            << "SlotToCoeff factor " << f;
 }
 
 TEST(BConvValidationTest, RaggedInputIsRejected)

@@ -208,6 +208,24 @@ TEST(Serve, BatchingChangesSchedulingNotResults)
     }
 }
 
+TEST(Serve, BatchesCapAtEightCiphertexts)
+{
+    // Twelve lockstep streams of one PIM-heavy shape offer twelve
+    // compatible steps per dispatch; a fused dispatch takes at most
+    // eight of them (the leader plus seven followers).
+    const AnaheimFramework fw(AnaheimConfig::a100NearBank());
+    ServeConfig serve;
+    serve.streams = 12;
+    serve.requestsPerStream = 1;
+    serve.arrival = ArrivalKind::Closed;
+    const auto stats =
+        serve::ServeScheduler(fw, serve).run({ewTrace(4)}).stats;
+
+    ASSERT_EQ(stats.completed, 12u);
+    ASSERT_GT(stats.batches, 0u);
+    EXPECT_LE(stats.batchedOps, 8 * stats.batches);
+}
+
 TEST(Serve, OverlapBeatsSerialBaseline)
 {
     const AnaheimFramework fw(AnaheimConfig::a100NearBank());
