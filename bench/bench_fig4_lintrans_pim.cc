@@ -27,7 +27,8 @@ printGantt(const char *label, const RunResult &result)
     std::printf("  %-12s total %8.2f us | ", label, result.totalNs * 1e-3);
     const auto key = [&](size_t i) {
         const GanttEntry &entry = result.timeline[i];
-        return std::string(entry.device) + "/" + std::string(entry.phase);
+        return laneName(entry.device) + std::string("/") +
+               std::string(entry.phase);
     };
     std::string lastKey;
     double segStart = 0.0;

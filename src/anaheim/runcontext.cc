@@ -185,9 +185,8 @@ RunContext::refreshActiveFaults()
 }
 
 void
-RunContext::charge(std::string_view phase, std::string_view device,
-                   double durNs, double energyPj, BoundBy bound,
-                   KernelClass cls)
+RunContext::charge(std::string_view phase, Lane device, double durNs,
+                   double energyPj, BoundBy bound, KernelClass cls)
 {
     // A negative or NaN duration would move the clock backwards or
     // poison it, and append order would no longer be clock order.
@@ -217,7 +216,7 @@ RunContext::charge(std::string_view phase, std::string_view device,
 void
 RunContext::chargeGpu(const KernelOp &op, const GpuKernelStats &stats)
 {
-    charge(op.phase, "GPU", stats.timeNs, stats.energyPj,
+    charge(op.phase, Lane::GPU, stats.timeNs, stats.energyPj,
            stats.memoryBound() ? BoundBy::Bandwidth : BoundBy::Compute,
            kernelClass(op.type));
     result_.gpuDramBytes += stats.traffic.total();
@@ -226,7 +225,7 @@ RunContext::chargeGpu(const KernelOp &op, const GpuKernelStats &stats)
 void
 RunContext::chargeFootprintPass(const char *phase)
 {
-    charge(phase, "DRAM", footprintPassNs(),
+    charge(phase, Lane::DRAM, footprintPassNs(),
            2.0 * liveBytes_ * config_.dram.energy.globalIoPerBytePj);
 }
 
@@ -274,7 +273,7 @@ RunContext::verifyChecksums(double bytes)
     // Verify the ciphertext checksums over `bytes` of residues; true
     // when the data is clean.
     ++result_.resilience.checksumChecks;
-    charge("Verify", "GPU", bytes / extBw_,
+    charge("Verify", Lane::GPU, bytes / extBw_,
            bytes * config_.dram.energy.nearBankPerBytePj);
     if (pendingSilent_ + pendingRetUncorrectable_ == 0)
         return true;
@@ -346,7 +345,7 @@ RunContext::quarantineAndMigrate(size_t next, size_t resumeAt)
     refreshActiveFaults();
     ++generation_; // replays resample their transient faults
     // Control-plane cost: remap tables + lockstep re-fusing.
-    charge("Quarantine", "DRAM", 1.0e3, 0.0);
+    charge("Quarantine", Lane::DRAM, 1.0e3, 0.0);
     const PimConfig degraded = config_.pim.degraded(rm);
     const MemoryPlan degradedPlan =
         PimMemoryPlanner(config_.dram, degraded).plan(seq_);
@@ -455,7 +454,7 @@ RunContext::runMaintenance()
             nextScrubNs_ += rc_.scrub.intervalNs;
         ++res.scrubPasses;
         const ScrubPassStats pass = scrubber_->pass(liveBytes_);
-        charge("Scrub", "DRAM", pass.timeNs, pass.energyPj);
+        charge("Scrub", Lane::DRAM, pass.timeNs, pass.energyPj);
         res.scrubCorrected += pendingRetCorrectable_;
         pendingRetCorrectable_ = 0;
         if (pendingRetUncorrectable_ > 0) {
@@ -592,7 +591,7 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
 
     // Near-bank PIM time is internal-streaming limited by
     // construction (§VI-A all-bank lockstep).
-    charge(op.phase, "PIM", pimNs, pimEnergyPj, BoundBy::Bandwidth,
+    charge(op.phase, Lane::PIM, pimNs, pimEnergyPj, BoundBy::Bandwidth,
            kernelClass(op.type));
     result_.pimInternalBytes += pimChunks * config_.dram.chunkBytes;
     prevWasPim_ = true;

@@ -136,11 +136,10 @@ class RunContext
     /** The one writer of the simulated timeline: appends an entry of
      *  `durNs` at the run clock, advances the clock past it and adds
      *  the duration (under breakdownCategory) and energy to the run
-     *  totals. `phase` and `device` must be static storage (see
-     *  GanttEntry). Maintenance phases pass the defaults. */
-    void charge(std::string_view phase, std::string_view device,
-                double durNs, double energyPj,
-                BoundBy bound = BoundBy::None,
+     *  totals. `phase` must be static storage (see GanttEntry).
+     *  Maintenance phases pass the defaults. */
+    void charge(std::string_view phase, Lane device, double durNs,
+                double energyPj, BoundBy bound = BoundBy::None,
                 KernelClass cls = KernelClass::ElementWise);
     /** A GPU kernel (planned or fallback) and its DRAM traffic. */
     void chargeGpu(const KernelOp &op, const GpuKernelStats &stats);

@@ -8,6 +8,7 @@
 #ifndef ANAHEIM_DRAM_TIMING_H
 #define ANAHEIM_DRAM_TIMING_H
 
+#include <compare>
 #include <cstddef>
 #include <string>
 
@@ -37,6 +38,10 @@ struct DramTiming {
     int tREFI = 5900;
     /** Refresh cycle time (bank unavailable). */
     int tRFC = 530;
+
+    /** Field-wise, and so also `==`: a field added later joins every
+     *  comparison (the PIM price store's key among them) by itself. */
+    auto operator<=>(const DramTiming &) const = default;
 };
 
 /** Per-command / per-byte energy coefficients (pJ), following the
@@ -53,6 +58,8 @@ struct DramEnergy {
     /** Off-chip interface energy per byte (PHY + interposer/board),
      *  paid only by normal (non-PIM) accesses. */
     double externalPerBytePj = 21.0;
+
+    auto operator<=>(const DramEnergy &) const = default;
 };
 
 /** Geometry and derived bandwidth of one DRAM configuration. */
@@ -71,6 +78,8 @@ struct DramConfig {
     double capacityBytes = 80e9;
     DramTiming timing;
     DramEnergy energy;
+
+    auto operator<=>(const DramConfig &) const = default;
 
     size_t chunksPerRow() const { return rowBytes / chunkBytes; }
     size_t totalBanks() const { return dies * banksPerDie; }

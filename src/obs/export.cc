@@ -182,8 +182,9 @@ chromeTraceJson(const TraceCollector &collector)
         // GPU/PIM streams; serve events already name their lane.
         const bool maintenance =
             entry.bound == BoundBy::None &&
-            (entry.device == "DRAM" || entry.device == "GPU");
-        const std::string lane(maintenance ? entry.phase : entry.device);
+            (entry.device == Lane::DRAM || entry.device == Lane::GPU);
+        const std::string lane(maintenance ? entry.phase
+                                           : laneName(entry.device));
         const uint64_t pid = kSimPidBase + run;
         const uint64_t tid = laneTid(pid, lane);
         std::ostringstream body;

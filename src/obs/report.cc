@@ -30,11 +30,11 @@ AttributionReport::categoryTotalsNs() const
 std::string
 attributionMode(const GanttEntry &entry)
 {
-    if (entry.device == "PIM")
+    if (entry.device == Lane::PIM)
         return "PIM";
-    if (entry.device == "GPU" && entry.bound == BoundBy::Compute)
+    if (entry.device == Lane::GPU && entry.bound == BoundBy::Compute)
         return "GPU-compute";
-    if (entry.device == "GPU" && entry.bound == BoundBy::Bandwidth)
+    if (entry.device == Lane::GPU && entry.bound == BoundBy::Bandwidth)
         return "GPU-bandwidth";
     return "Other";
 }

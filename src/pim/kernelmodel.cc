@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -272,6 +273,59 @@ PimKernelModel::executeProfile(const PimInstrProfile &profile,
                : executeCustomHbm(dram_, pim_, profile, kernel);
 }
 
+PimPriceStore &
+PimPriceStore::global()
+{
+    static PimPriceStore store;
+    return store;
+}
+
+size_t
+PimPriceStore::size() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return size_;
+}
+
+PimPriceStore::Prices *
+PimPriceStore::intern(const DramConfig &dram, const PimConfig &pim)
+{
+    ConfigKey key{dram, pim};
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = configs_.find(key);
+    if (it == configs_.end()) {
+        if (configs_.size() >= capacity_)
+            return nullptr;
+        it = configs_.emplace(std::move(key), Prices{}).first;
+    }
+    return &it->second;
+}
+
+std::optional<PimExecStats>
+PimPriceStore::find(const Prices *prices, const PimShape &shape) const
+{
+    if (prices == nullptr)
+        return std::nullopt;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = prices->find(shape);
+    if (it == prices->end())
+        return std::nullopt;
+    return it->second;
+}
+
+void
+PimPriceStore::insert(Prices *prices, const PimShape &shape,
+                      const PimExecStats &stats)
+{
+    if (prices == nullptr)
+        return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // Another model may have priced the same shape meanwhile; pricing
+    // is pure, so its entry is this one.
+    if (size_ < capacity_ && prices->emplace(shape, stats).second)
+        ++size_;
+}
+
 PimExecStats
 PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                         size_t n) const
@@ -285,14 +339,21 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
     static obs::Gauge &chunks =
         obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
     instructions.add();
-    const Key key{opcode, fanIn, limbs, n};
-    auto it = priced_.find(key);
+    const PimShape shape{opcode, fanIn, limbs, n};
+    auto it = priced_.find(shape);
     if (it != priced_.end()) {
         hits.add();
     } else {
-        misses.add();
-        OBS_SPAN("pim/model_price");
-        it = priced_.emplace(key, price(opcode, fanIn, limbs, n)).first;
+        std::optional<PimExecStats> stats = store_->find(shared_, shape);
+        if (stats) {
+            hits.add();
+        } else {
+            misses.add();
+            OBS_SPAN("pim/model_price");
+            stats = price(opcode, fanIn, limbs, n);
+            store_->insert(shared_, shape, *stats);
+        }
+        it = priced_.emplace(shape, *stats).first;
     }
     chunks.add(it->second.chunksMoved);
     return it->second;

@@ -10,13 +10,16 @@
  * other banks' streaming, at a lower aggregate internal bandwidth
  * (Table III: 4x vs 16x the external bandwidth on A100).
  *
- * Pricing is memoized per instance. An instruction's cost is a pure
- * function of (opcode, fan-in, limbs, N) and of the DRAM/PIM config the
- * instance was built with: Alg. 1's command stream is static (§V-C),
- * and the BankEngine that replays it has no fault model attached, so
- * even its refresh stalls are deterministic. The config is fixed at
- * construction, so a priced shape stays valid for the instance's
- * lifetime; a degraded device gets a new instance with a cold memo.
+ * Pricing is memoized in two levels. An instruction's cost is a pure
+ * function of (opcode, fan-in, limbs, N) and of the DRAM/PIM config:
+ * Alg. 1's command stream is static (§V-C), and the BankEngine that
+ * replays it has no fault model attached, so even its refresh stalls
+ * are deterministic. Each model keeps an unlocked per-instance memo;
+ * on a miss there it asks a process-wide `PimPriceStore` keyed by the
+ * full config and the shape, and only a miss there too replays the
+ * command stream. So a fresh framework, serving burst or degraded
+ * device (a new instance, built on its degraded config) re-prices
+ * nothing another model of an equal config has already priced.
  */
 
 #ifndef ANAHEIM_PIM_KERNELMODEL_H
@@ -24,6 +27,8 @@
 
 #include <compare>
 #include <map>
+#include <mutex>
+#include <optional>
 
 #include "dram/bank.h"
 #include "dram/timing.h"
@@ -71,6 +76,10 @@ struct PimConfig {
      *  lanes / healthyLanes(). */
     size_t quarantinedLanes = 0;
 
+    /** Field-wise, and so also `==`: a field added later joins the PIM
+     *  price store's key by itself. */
+    auto operator<=>(const PimConfig &) const = default;
+
     size_t healthyBanksPerDieGroup() const
     {
         return banksPerDieGroup > offlineBanks.size()
@@ -107,17 +116,78 @@ struct PimExecStats {
     bool supported = true;
 };
 
+/** What an instruction's price depends on besides the config. */
+struct PimShape {
+    PimOpcode opcode;
+    size_t fanIn;
+    size_t limbs;
+    size_t n;
+    auto operator<=>(const PimShape &) const = default;
+};
+
 /**
- * Prices PIM instructions. `execute` fills a per-instance memo, so an
- * instance has one owning thread: the simulator never shares a
- * framework (and so its model) across threads, and the memo takes no
- * lock.
+ * Prices shared by every PimKernelModel built on the store, keyed by
+ * the model's full (DramConfig, PimConfig) and the instruction shape.
+ * Any thread may use it: one mutex guards it, and models price outside
+ * the lock. It holds at most `capacity` configs and `capacity` prices;
+ * past that it stops inserting, and the models it turns away price on
+ * their own. Pricing is pure, so no output depends on what it holds.
+ */
+class PimPriceStore
+{
+  public:
+    static constexpr size_t kDefaultCapacity = 4096;
+
+    explicit PimPriceStore(size_t capacity = kDefaultCapacity)
+        : capacity_(capacity)
+    {
+    }
+    PimPriceStore(const PimPriceStore &) = delete;
+    PimPriceStore &operator=(const PimPriceStore &) = delete;
+
+    /** The store every model uses unless it is given another. */
+    static PimPriceStore &global();
+
+    /** Prices held, over all configs. */
+    size_t size() const;
+
+  private:
+    friend class PimKernelModel;
+    using Prices = std::map<PimShape, PimExecStats>;
+    struct ConfigKey {
+        DramConfig dram;
+        PimConfig pim;
+        auto operator<=>(const ConfigKey &) const = default;
+    };
+
+    /** The price table of one config, added if there is room; nullptr
+     *  once the store holds `capacity` configs. */
+    Prices *intern(const DramConfig &dram, const PimConfig &pim);
+    std::optional<PimExecStats> find(const Prices *prices,
+                                     const PimShape &shape) const;
+    void insert(Prices *prices, const PimShape &shape,
+                const PimExecStats &stats);
+
+    const size_t capacity_;
+    mutable std::mutex mutex_;
+    std::map<ConfigKey, Prices> configs_;
+    size_t size_ = 0;
+};
+
+/**
+ * Prices PIM instructions. `execute` fills a per-instance memo that
+ * takes no lock, so an instance has one owning thread: the simulator
+ * never shares a framework (and so its model) across threads. Models
+ * on different threads may share a store.
  */
 class PimKernelModel
 {
   public:
-    PimKernelModel(const DramConfig &dram, const PimConfig &pim)
-        : dram_(dram), pim_(pim)
+    /** `store` must outlive the model. */
+    PimKernelModel(const DramConfig &dram, const PimConfig &pim,
+                   PimPriceStore &store = PimPriceStore::global())
+        : dram_(dram), pim_(pim), store_(&store),
+          shared_(store.intern(dram, pim))
     {
     }
 
@@ -126,10 +196,12 @@ class PimKernelModel
     /**
      * Execute one PIM instruction over `limbs` limbs of degree-n
      * polynomials, using all banks. Returns device-level time/energy.
-     * The first call per (opcode, fanIn, limbs, n) prices it; later
-     * calls return the memoized stats. Every call counts in
-     * `pim.model.instructions` and `pim.model.chunks_moved`, and in
-     * `pim.model.cache_hits` or `pim.model.cache_misses`.
+     * Only the first call per (opcode, fanIn, limbs, n) and config in
+     * the store prices it; later calls return the memoized stats.
+     * Every call counts in `pim.model.instructions` and
+     * `pim.model.chunks_moved`, and in `pim.model.cache_hits` (answered
+     * by the instance memo or the store) or `pim.model.cache_misses`
+     * (priced).
      */
     PimExecStats execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                          size_t n) const;
@@ -140,14 +212,6 @@ class PimKernelModel
                           size_t n) const;
 
   private:
-    struct Key {
-        PimOpcode opcode;
-        size_t fanIn;
-        size_t limbs;
-        size_t n;
-        auto operator<=>(const Key &) const = default;
-    };
-
     /** Price one instruction without the memo, chaining accumulations
      *  whose fan-in overflows the buffer. */
     PimExecStats price(PimOpcode opcode, size_t fanIn, size_t limbs,
@@ -158,8 +222,11 @@ class PimKernelModel
 
     DramConfig dram_;
     PimConfig pim_;
-    /** Stats of every instruction shape priced so far. */
-    mutable std::map<Key, PimExecStats> priced_;
+    PimPriceStore *store_;
+    /** This config's table in the store; nullptr if it was full. */
+    PimPriceStore::Prices *shared_;
+    /** Stats of every instruction shape this instance has returned. */
+    mutable std::map<PimShape, PimExecStats> priced_;
 };
 
 } // namespace anaheim

@@ -153,7 +153,7 @@ class ServeEngine
     double stepStream(size_t s, double startNs, bool suppressTransition);
     double preemptionOverheadNs(size_t winner, int dev, double startNs);
     void recordServeEvent(uint32_t runId, const char *name,
-                          const char *lane, double startNs, double durNs);
+                          Lane lane, double startNs, double durNs);
     void publishStreamTotals() const;
     void telemetryInit();
     obs::TimeSeries &telemetrySeries(const std::string &suffix);
@@ -244,8 +244,7 @@ ServeEngine::deadlinesEnabled() const
 
 void
 ServeEngine::recordServeEvent(uint32_t runId, const char *name,
-                              const char *lane, double startNs,
-                              double durNs)
+                              Lane lane, double startNs, double durNs)
 {
     if (!tracing_)
         return;
@@ -329,7 +328,7 @@ ServeEngine::shed(size_t s, size_t k, double atNs)
     ++out_.stats.shedDeadline;
     if (telemetry_)
         tsRejectShed_->observe(atNs, 1.0);
-    recordServeEvent(streams_[s].runId, "Shed", "Shed", atNs, 0.0);
+    recordServeEvent(streams_[s].runId, "Shed", Lane::Shed, atNs, 0.0);
 }
 
 /** True when dispatching request k of stream s at `startNs` cannot
@@ -520,7 +519,7 @@ ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
             victim.preempted = true;
             if (telemetry_)
                 tsPreemptions_->observe(startNs + overhead, saveNs);
-            recordServeEvent(victim.runId, "Save", "Preempt",
+            recordServeEvent(victim.runId, "Save", Lane::Preempt,
                              startNs + overhead, saveNs);
             overhead += saveNs;
         }
@@ -530,7 +529,7 @@ ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
         const double restoreNs = st.active->footprintPassNs();
         ++stats.preemptionResumes;
         st.preempted = false;
-        recordServeEvent(st.runId, "Restore", "Preempt",
+        recordServeEvent(st.runId, "Restore", Lane::Preempt,
                          startNs + overhead, restoreNs);
         overhead += restoreNs;
     }
@@ -657,7 +656,7 @@ ServeEngine::telemetryCloseTick()
     if (eval.fired)
         alertStartNs_ = windowStart;
     if (eval.resolved && alertStartNs_ >= 0.0) {
-        recordServeEvent(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
+        recordServeEvent(alertRunId_, "SLOBurn", Lane::Alert, alertStartNs_,
                          windowStart + tick - alertStartNs_);
         alertStartNs_ = -1.0;
     }
@@ -688,7 +687,7 @@ ServeEngine::telemetryFinish()
     if (stats.makespanNs > static_cast<double>(nextTick_) * tick)
         telemetryCloseTick();
     if (burn_->firing() && alertStartNs_ >= 0.0) {
-        recordServeEvent(alertRunId_, "SLOBurn", "Alert", alertStartNs_,
+        recordServeEvent(alertRunId_, "SLOBurn", Lane::Alert, alertStartNs_,
                          std::max(stats.makespanNs - alertStartNs_,
                                   0.0));
         alertStartNs_ = -1.0;

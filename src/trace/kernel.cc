@@ -61,12 +61,26 @@ kernelClassName(KernelClass cls)
     return "?";
 }
 
+const char *
+laneName(Lane lane)
+{
+    switch (lane) {
+      case Lane::GPU: return "GPU";
+      case Lane::PIM: return "PIM";
+      case Lane::DRAM: return "DRAM";
+      case Lane::Preempt: return "Preempt";
+      case Lane::Shed: return "Shed";
+      case Lane::Alert: return "Alert";
+    }
+    return "?";
+}
+
 std::string_view
 breakdownCategory(const GanttEntry &entry)
 {
-    if (entry.device == "PIM")
+    if (entry.device == Lane::PIM)
         return "PIM";
-    if (entry.device == "GPU" && entry.bound != BoundBy::None)
+    if (entry.device == Lane::GPU && entry.bound != BoundBy::None)
         return kernelClassName(entry.cls);
     return entry.phase;
 }

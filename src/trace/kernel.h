@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -29,7 +30,7 @@
 namespace anaheim {
 
 /** Kernel categories used in the paper's breakdown figures. */
-enum class KernelClass {
+enum class KernelClass : uint8_t {
     ElementWise, ///< the PIM-eligible ops (Table II)
     NttIntt,     ///< (I)NTT, compute-bound on GPUs (§IV-D)
     BConv,       ///< basis conversion matrix multiply
@@ -66,33 +67,39 @@ const char *kernelTypeName(KernelType type);
 const char *kernelClassName(KernelClass cls);
 
 /** What limited a timeline entry's duration in the roofline model. */
-enum class BoundBy {
+enum class BoundBy : uint8_t {
     None,      ///< maintenance phases (Scrub/Checkpoint/...)
     Compute,   ///< int-op throughput bound (GPU)
     Bandwidth, ///< DRAM/internal streaming bound (GPU memory side, PIM)
 };
 
+/** The lane a timeline entry occupies: the device that did the work
+ *  (DRAM for maintenance passes), or a serve event's own lane. */
+enum class Lane : uint8_t { GPU, PIM, DRAM, Preempt, Shed, Alert };
+
+/** "GPU", "PIM", "DRAM", "Preempt", "Shed" or "Alert". */
+const char *laneName(Lane lane);
+
 /** One interval of simulated time: the only record of where a run's
  *  (or a serving scheduler's) device time went.
  *
- *  Names are views of static-storage strings (string literals: the
- *  trace builders' phases, the maintenance phases, the device and
- *  serve-event names), never of a trace's or a caller's buffer, so an
- *  entry stays valid after the trace that produced it is gone. The
- *  record is trivially copyable and 64 bytes on LP64 targets; a
- *  paper-scale pass writes millions of them. */
+ *  The phase is a view of a static-storage string (a string literal:
+ *  the trace builders' phases, the maintenance phases, the serve-event
+ *  names), never of a trace's or a caller's buffer, so an entry stays
+ *  valid after the trace that produced it is gone. The record is
+ *  trivially copyable and 48 bytes on LP64 targets; a paper-scale pass
+ *  writes millions of them. */
 struct GanttEntry {
     std::string_view phase;
-    /** "GPU", "PIM" or "DRAM" (maintenance); serve events name their
-     *  own lane ("Preempt", "Shed", "Alert"). */
-    std::string_view device;
     double startNs = 0.0;
     double endNs = 0.0;
     double energyPj = 0.0;
+    Lane device = Lane::GPU;
     KernelClass cls = KernelClass::ElementWise;
     BoundBy bound = BoundBy::None;
 };
 static_assert(std::is_trivially_copyable_v<GanttEntry>);
+static_assert(sizeof(void *) != 8 || sizeof(GanttEntry) == 48);
 
 /** The paper breakdown category of an entry: "PIM" for PIM work, the
  *  kernel-class name for GPU kernels, the phase for everything else

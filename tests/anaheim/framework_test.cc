@@ -175,14 +175,14 @@ TEST_F(FrameworkTest, TimelineNamesOutliveTheTrace)
     std::set<std::string> phases = {"Verify", "Scrub", "Checkpoint"};
     for (const KernelOp &op : buildHMult(TraceParams{}).ops)
         phases.emplace(op.phase);
-    const std::set<std::string> devices = {"GPU", "PIM", "DRAM"};
+    const std::set<Lane> devices = {Lane::GPU, Lane::PIM, Lane::DRAM};
     std::set<std::string> seen;
     ASSERT_FALSE(result.timeline.empty());
     for (const GanttEntry &entry : result.timeline) {
         const std::string phase(entry.phase);
         EXPECT_TRUE(phases.count(phase)) << phase;
-        EXPECT_TRUE(devices.count(std::string(entry.device)))
-            << entry.device;
+        EXPECT_TRUE(devices.count(entry.device))
+            << laneName(entry.device);
         seen.insert(phase);
     }
     EXPECT_TRUE(seen.count("Verify"));

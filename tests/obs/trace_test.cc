@@ -170,7 +170,7 @@ TEST_F(TraceTest, SimRunsAndTimelinesRoundTrip)
 
     GanttEntry modUp;
     modUp.phase = "ModUp";
-    modUp.device = "GPU";
+    modUp.device = Lane::GPU;
     modUp.cls = KernelClass::NttIntt;
     modUp.startNs = 1500.0;
     modUp.endNs = 3500.0;
@@ -178,7 +178,7 @@ TEST_F(TraceTest, SimRunsAndTimelinesRoundTrip)
     modUp.bound = BoundBy::Compute;
     GanttEntry scrub;
     scrub.phase = "Scrub";
-    scrub.device = "DRAM";
+    scrub.device = Lane::DRAM;
     scrub.startNs = 3500.0;
     scrub.endNs = 4000.0;
     collector.recordTimeline(second, {modUp, scrub});
@@ -190,7 +190,7 @@ TEST_F(TraceTest, SimRunsAndTimelinesRoundTrip)
     const auto timeline = collector.simTimeline();
     ASSERT_EQ(timeline.size(), 2u);
     EXPECT_EQ(timeline[0].first, second);
-    EXPECT_EQ(timeline[0].second.device, "GPU");
+    EXPECT_EQ(timeline[0].second.device, Lane::GPU);
     EXPECT_EQ(timeline[0].second.cls, KernelClass::NttIntt);
     EXPECT_DOUBLE_EQ(timeline[0].second.endNs, 3500.0);
     EXPECT_DOUBLE_EQ(timeline[0].second.energyPj, 42.0);

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -398,11 +399,72 @@ expectIdentical(const PimExecStats &got, const PimExecStats &want)
     EXPECT_EQ(got.supported, want.supported);
 }
 
+using Shape = std::tuple<PimOpcode, size_t, size_t, size_t>;
+
+/** The execute() calls a fault-free run of every paper trace makes on a
+ *  device with this PIM config, in trace order. */
+std::vector<Shape>
+paperCalls(const PimConfig &pim)
+{
+    static const auto workloads = makeAllWorkloads();
+    std::vector<Shape> calls;
+    for (const auto &[info, seq] : workloads) {
+        for (const KernelOp &op : seq.ops) {
+            if (!op.pimEligible)
+                continue;
+            const PimOpcode opcode = AnaheimFramework::opcodeFor(op.type);
+            if (!pimInstrSupported(opcode, op.fanIn, pim.bufferEntries))
+                continue;
+            calls.emplace_back(opcode, op.fanIn, op.limbs, op.n);
+        }
+    }
+    return calls;
+}
+
+std::string
+shapeName(const Shape &shape)
+{
+    const auto &[opcode, fanIn, limbs, n] = shape;
+    return std::string(pimOpcodeName(opcode)) + " fanIn " +
+           std::to_string(fanIn) + " limbs " + std::to_string(limbs) +
+           " n " + std::to_string(n);
+}
+
+/** Prices `calls` in order on `model`, one result per call. */
+std::vector<PimExecStats>
+priceAll(const PimKernelModel &model, const std::vector<Shape> &calls)
+{
+    std::vector<PimExecStats> out;
+    for (const auto &[opcode, fanIn, limbs, n] : calls)
+        out.push_back(model.execute(opcode, fanIn, limbs, n));
+    return out;
+}
+
+/** Counts what a block of execute() calls added to the model counters. */
+struct MemoCounts {
+    obs::Counter &instructions =
+        obs::MetricsRegistry::global().counter("pim.model.instructions");
+    obs::Counter &hits =
+        obs::MetricsRegistry::global().counter("pim.model.cache_hits");
+    obs::Counter &misses =
+        obs::MetricsRegistry::global().counter("pim.model.cache_misses");
+    uint64_t instructions0 = instructions.value();
+    uint64_t hits0 = hits.value();
+    uint64_t misses0 = misses.value();
+
+    uint64_t newInstructions() const
+    {
+        return instructions.value() - instructions0;
+    }
+    uint64_t newHits() const { return hits.value() - hits0; }
+    uint64_t newMisses() const { return misses.value() - misses0; }
+};
+
 TEST(PimModelMemo, WarmInstanceMatchesAFreshOneOnEveryPaperShape)
 {
-    // A fresh instance's first call is the unmemoized pricing path; on
-    // every instruction shape in the paper traces, a memo hit on a
-    // warm instance must return exactly what it returns.
+    // The process-wide store makes the first pricing of a shape under a
+    // config the reference: a second instance of an equal config must
+    // re-simulate nothing and return exactly what the first returned.
     PimConfig noCp = PimConfig::nearBankA100();
     noCp.columnPartition = false;
     PimConfig degraded = PimConfig::nearBankA100();
@@ -416,50 +478,175 @@ TEST(PimModelMemo, WarmInstanceMatchesAFreshOneOnEveryPaperShape)
         {DramConfig::hbm2A100(), noCp},
         {DramConfig::hbm2A100(), degraded},
     };
-    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
-    obs::Counter &instructions = registry.counter("pim.model.instructions");
-    obs::Counter &hits = registry.counter("pim.model.cache_hits");
-    obs::Counter &misses = registry.counter("pim.model.cache_misses");
-    const auto workloads = makeAllWorkloads();
 
     for (size_t d = 0; d < devices.size(); ++d) {
         const auto &[dram, pim] = devices[d];
         SCOPED_TRACE("device " + std::to_string(d));
-        // The execute() calls a fault-free run of every paper trace
-        // makes on this device, in trace order.
-        using Key = std::tuple<PimOpcode, size_t, size_t, size_t>;
-        std::vector<Key> calls;
-        std::set<Key> shapes;
-        for (const auto &[info, seq] : workloads) {
-            for (const KernelOp &op : seq.ops) {
-                if (!op.pimEligible)
-                    continue;
-                const PimOpcode opcode = AnaheimFramework::opcodeFor(op.type);
-                if (!pimInstrSupported(opcode, op.fanIn, pim.bufferEntries))
-                    continue;
-                calls.emplace_back(opcode, op.fanIn, op.limbs, op.n);
-                shapes.insert(calls.back());
-            }
-        }
+        const std::vector<Shape> calls = paperCalls(pim);
+        const std::set<Shape> shapes(calls.begin(), calls.end());
         ASSERT_GT(calls.size(), shapes.size());
 
-        const PimKernelModel warm(dram, pim);
-        const uint64_t instructions0 = instructions.value();
-        const uint64_t hits0 = hits.value();
-        const uint64_t misses0 = misses.value();
-        for (const auto &[opcode, fanIn, limbs, n] : calls)
-            warm.execute(opcode, fanIn, limbs, n);
-        EXPECT_EQ(misses.value() - misses0, shapes.size());
-        EXPECT_EQ(hits.value() - hits0, calls.size() - shapes.size());
-        EXPECT_EQ(instructions.value() - instructions0, calls.size());
+        const MemoCounts first;
+        const std::vector<PimExecStats> reference =
+            priceAll(PimKernelModel(dram, pim), calls);
+        // Earlier models of this config may have stored some shapes.
+        EXPECT_LE(first.newMisses(), shapes.size());
+        EXPECT_EQ(first.newHits() + first.newMisses(), calls.size());
+        EXPECT_EQ(first.newInstructions(), calls.size());
 
-        for (const auto &[opcode, fanIn, limbs, n] : shapes) {
-            SCOPED_TRACE(std::string(pimOpcodeName(opcode)) + " fanIn " +
-                         std::to_string(fanIn) + " limbs " +
-                         std::to_string(limbs) + " n " + std::to_string(n));
-            const PimExecStats cold =
-                PimKernelModel(dram, pim).execute(opcode, fanIn, limbs, n);
-            expectIdentical(warm.execute(opcode, fanIn, limbs, n), cold);
+        const DramConfig dramCopy = dram;
+        const PimConfig pimCopy = pim;
+        const MemoCounts second;
+        const std::vector<PimExecStats> warm =
+            priceAll(PimKernelModel(dramCopy, pimCopy), calls);
+        EXPECT_EQ(second.newMisses(), 0u);
+        EXPECT_EQ(second.newHits(), calls.size());
+        for (size_t c = 0; c < calls.size(); ++c) {
+            SCOPED_TRACE(shapeName(calls[c]));
+            expectIdentical(warm[c], reference[c]);
+        }
+    }
+}
+
+TEST(PimModelMemo, StoreNeverSharesAcrossConfigs)
+{
+    // Each variant differs from the base in one priced field, and must
+    // price its own entry rather than reuse the base's.
+    const DramConfig dram = DramConfig::hbm2A100();
+    PimConfig base = PimConfig::nearBankA100();
+    base.offlineBanks = {0, 1, 2, 3};
+    base.quarantinedLanes = 1;
+
+    PimConfig otherBanks = base;
+    otherBanks.offlineBanks = {4, 5, 6, 7};
+    PimConfig moreLanes = base;
+    moreLanes.quarantinedLanes = 2;
+    PimConfig noCp = base;
+    noCp.columnPartition = false;
+    DramConfig shortRefresh = dram;
+    shortRefresh.timing.tREFI = 3900;
+    struct Variant {
+        const char *field;
+        DramConfig dram;
+        PimConfig pim;
+    };
+    const std::vector<Variant> variants = {
+        {"offlineBanks", dram, otherBanks},
+        {"quarantinedLanes", dram, moreLanes},
+        {"columnPartition", dram, noCp},
+        {"tREFI", shortRefresh, base},
+    };
+
+    PimPriceStore store;
+    const auto price = [&](const DramConfig &d, const PimConfig &p) {
+        return PimKernelModel(d, p, store).execute(PimOpcode::PAccum, 4,
+                                                   40, 1 << 16);
+    };
+    const MemoCounts baseCounts;
+    price(dram, base);
+    EXPECT_EQ(baseCounts.newMisses(), 1u);
+    EXPECT_EQ(store.size(), 1u);
+    // An equal config does share the entry.
+    const MemoCounts equalCounts;
+    price(DramConfig::hbm2A100(), base);
+    EXPECT_EQ(equalCounts.newMisses(), 0u);
+
+    for (size_t v = 0; v < variants.size(); ++v) {
+        const Variant &variant = variants[v];
+        SCOPED_TRACE(variant.field);
+        const MemoCounts counts;
+        const PimExecStats stats = price(variant.dram, variant.pim);
+        EXPECT_EQ(counts.newMisses(), 1u);
+        EXPECT_EQ(store.size(), v + 2);
+        PimPriceStore fresh;
+        expectIdentical(stats,
+                        PimKernelModel(variant.dram, variant.pim, fresh)
+                            .execute(PimOpcode::PAccum, 4, 40, 1 << 16));
+    }
+}
+
+TEST(PimModelMemo, StoreStopsInsertingAtItsCapacity)
+{
+    // A store of capacity 2 holds two prices and two configs. Past
+    // that, models price on their own, and every price still matches
+    // one from an unbounded store.
+    const DramConfig dram = DramConfig::hbm2A100();
+    const PimConfig pim = PimConfig::nearBankA100();
+    std::vector<Shape> calls;
+    for (size_t limbs = 10; limbs < 14; ++limbs)
+        calls.emplace_back(PimOpcode::Mult, 1, limbs, 1 << 16);
+
+    PimPriceStore full(2);
+    PimPriceStore unbounded;
+    const std::vector<PimExecStats> reference =
+        priceAll(PimKernelModel(dram, pim, unbounded), calls);
+    const auto expectReference = [&](const std::vector<PimExecStats> &got) {
+        ASSERT_EQ(got.size(), reference.size());
+        for (size_t c = 0; c < calls.size(); ++c) {
+            SCOPED_TRACE(shapeName(calls[c]));
+            expectIdentical(got[c], reference[c]);
+        }
+    };
+
+    const MemoCounts filling;
+    expectReference(priceAll(PimKernelModel(dram, pim, full), calls));
+    EXPECT_EQ(filling.newMisses(), calls.size());
+    EXPECT_EQ(full.size(), 2u);
+    // A new instance finds the two stored shapes and prices the rest.
+    const MemoCounts past;
+    expectReference(priceAll(PimKernelModel(dram, pim, full), calls));
+    EXPECT_EQ(past.newMisses(), calls.size() - 2);
+    EXPECT_EQ(full.size(), 2u);
+
+    // The second config gets a table but no room in it; the third
+    // gets no table at all. Both still price correctly.
+    for (const int tREFI : {3900, 1950}) {
+        SCOPED_TRACE("tREFI " + std::to_string(tREFI));
+        DramConfig other = dram;
+        other.timing.tREFI = tREFI;
+        const std::vector<PimExecStats> want =
+            priceAll(PimKernelModel(other, pim, unbounded), calls);
+        for (int instance = 0; instance < 2; ++instance) {
+            const MemoCounts counts;
+            const std::vector<PimExecStats> got =
+                priceAll(PimKernelModel(other, pim, full), calls);
+            EXPECT_EQ(counts.newMisses(), calls.size());
+            for (size_t c = 0; c < calls.size(); ++c)
+                expectIdentical(got[c], want[c]);
+        }
+        EXPECT_EQ(full.size(), 2u);
+    }
+}
+
+TEST(PimModelMemo, ConcurrentInstancesPriceIdentically)
+{
+    // Two threads, each with its own model on one shared store, race
+    // to price and store every paper shape; both must see exactly the
+    // serial prices.
+    const DramConfig dram = DramConfig::hbm2A100();
+    const PimConfig pim = PimConfig::nearBankA100();
+    const std::vector<Shape> calls = paperCalls(pim);
+    PimPriceStore serialStore;
+    const std::vector<PimExecStats> serial =
+        priceAll(PimKernelModel(dram, pim, serialStore), calls);
+
+    PimPriceStore shared;
+    std::vector<PimExecStats> results[2];
+    std::vector<std::thread> threads;
+    for (auto &out : results)
+        threads.emplace_back([&dram, &pim, &calls, &shared, &out] {
+            out = priceAll(PimKernelModel(dram, pim, shared), calls);
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(shared.size(), serialStore.size());
+    for (size_t t = 0; t < 2; ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        ASSERT_EQ(results[t].size(), calls.size());
+        for (size_t c = 0; c < calls.size(); ++c) {
+            SCOPED_TRACE(shapeName(calls[c]));
+            expectIdentical(results[t][c], serial[c]);
         }
     }
 }

@@ -261,7 +261,7 @@ TEST(Serve, CrossTraceGpuPimOverlapExists)
     for (size_t i = 0; i < streams.size() && !found; ++i) {
         for (const serve::ServeRequest &ri : streams[i].requests) {
             for (const GanttEntry &a : ri.result.timeline) {
-                if (a.device != "GPU")
+                if (a.device != Lane::GPU)
                     continue;
                 for (size_t j = 0; j < streams.size(); ++j) {
                     if (j == i)
@@ -269,7 +269,7 @@ TEST(Serve, CrossTraceGpuPimOverlapExists)
                     for (const serve::ServeRequest &rj :
                          streams[j].requests) {
                         for (const GanttEntry &b : rj.result.timeline) {
-                            if (b.device == "PIM" &&
+                            if (b.device == Lane::PIM &&
                                 a.startNs < b.endNs &&
                                 b.startNs < a.endNs &&
                                 a.endNs > a.startNs &&

@@ -511,10 +511,10 @@ TEST_F(FrameworkResilienceTest, UncorrectableEventsRetryThenFallBack)
     // abandoned segment.
     size_t gpuEntries = 0;
     for (const auto &entry : faulty.timeline)
-        gpuEntries += entry.device == "GPU";
+        gpuEntries += entry.device == Lane::GPU;
     size_t cleanGpuEntries = 0;
     for (const auto &entry : clean.timeline)
-        cleanGpuEntries += entry.device == "GPU";
+        cleanGpuEntries += entry.device == Lane::GPU;
     EXPECT_EQ(gpuEntries,
               cleanGpuEntries + faulty.resilience.gpuFallbacks);
 }

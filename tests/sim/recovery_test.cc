@@ -195,11 +195,11 @@ TEST_F(RecoveryTest, GpuFallbackPathIsStableAtFixedSeed)
     // Each fallback re-runs its segment as a GPU timeline entry.
     size_t gpuEntries = 0;
     for (const auto &entry : a.timeline)
-        gpuEntries += entry.device == "GPU";
+        gpuEntries += entry.device == Lane::GPU;
     const RunResult clean = cleanRun(seq);
     size_t cleanGpuEntries = 0;
     for (const auto &entry : clean.timeline)
-        cleanGpuEntries += entry.device == "GPU";
+        cleanGpuEntries += entry.device == Lane::GPU;
     EXPECT_EQ(gpuEntries, cleanGpuEntries + a.resilience.gpuFallbacks);
 }
 
