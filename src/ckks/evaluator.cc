@@ -1,6 +1,7 @@
 #include "evaluator.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "math/kernels.h"
@@ -14,6 +15,14 @@ namespace {
 // residual mismatch injects at most this much relative error. Larger
 // mismatches trigger exact scale adjustment (see alignScales).
 constexpr double kScaleTolerance = 1e-9;
+
+/** Same level and scale: add/sub read y in place, no align/match. */
+bool
+alreadyAligned(const Ciphertext &x, const Ciphertext &y)
+{
+    return x.level == y.level &&
+           std::abs(x.scale - y.scale) <= kScaleTolerance * x.scale;
+}
 
 void
 checkScalesMatch(double a, double b)
@@ -63,9 +72,10 @@ CkksEvaluator::alignScales(Ciphertext &x, Ciphertext &y) const
 void
 CkksEvaluator::matchLevels(Ciphertext &x, Ciphertext &y) const
 {
-    const size_t level = std::min(x.level, y.level);
-    x = dropToLevel(x, level);
-    y = dropToLevel(y, level);
+    if (x.level > y.level)
+        x = dropToLevel(x, y.level);
+    else if (y.level > x.level)
+        y = dropToLevel(y, x.level);
 }
 
 Ciphertext
@@ -86,6 +96,12 @@ CkksEvaluator::dropToLevel(const Ciphertext &x, size_t level) const
 Ciphertext
 CkksEvaluator::add(const Ciphertext &x, const Ciphertext &y) const
 {
+    if (alreadyAligned(x, y)) {
+        Ciphertext out = x;
+        out.b += y.b;
+        out.a += y.a;
+        return out;
+    }
     Ciphertext lhs = x, rhs = y;
     alignScales(lhs, rhs);
     matchLevels(lhs, rhs);
@@ -98,6 +114,12 @@ CkksEvaluator::add(const Ciphertext &x, const Ciphertext &y) const
 Ciphertext
 CkksEvaluator::sub(const Ciphertext &x, const Ciphertext &y) const
 {
+    if (alreadyAligned(x, y)) {
+        Ciphertext out = x;
+        out.b -= y.b;
+        out.a -= y.a;
+        return out;
+    }
     Ciphertext lhs = x, rhs = y;
     alignScales(lhs, rhs);
     matchLevels(lhs, rhs);
@@ -182,25 +204,27 @@ Ciphertext
 CkksEvaluator::multiply(const Ciphertext &x, const Ciphertext &y,
                         const EvalKey &relinKey) const
 {
-    Ciphertext lhs = x, rhs = y;
-    matchLevels(lhs, rhs);
+    if (x.level > y.level)
+        return multiply(dropToLevel(x, y.level), y, relinKey);
+    if (y.level > x.level)
+        return multiply(x, dropToLevel(y, x.level), relinKey);
 
     // Tensor: (b1, a1) x (b2, a2) -> (b1*b2, b1*a2 + a1*b2, a1*a2).
-    Polynomial d0 = lhs.b;
-    d0.mulEq(rhs.b);
-    Polynomial d1 = lhs.b;
-    d1.mulEq(rhs.a);
-    d1.macEq(lhs.a, rhs.b);
-    Polynomial d2 = lhs.a;
-    d2.mulEq(rhs.a);
+    Polynomial d0 = x.b;
+    d0.mulEq(y.b);
+    Polynomial d1 = x.b;
+    d1.mulEq(y.a);
+    d1.macEq(x.a, y.b);
+    Polynomial d2 = x.a;
+    d2.mulEq(y.a);
 
     // Relinearize the s^2 component back onto (1, s).
     auto [k0, k1] = switcher_.keySwitch(d2, relinKey);
     Ciphertext out;
-    out.b = d0 + k0;
-    out.a = d1 + k1;
-    out.level = lhs.level;
-    out.scale = lhs.scale * rhs.scale;
+    out.b = std::move(d0) + k0;
+    out.a = std::move(d1) + k1;
+    out.level = x.level;
+    out.scale = x.scale * y.scale;
     return out;
 }
 

@@ -60,20 +60,6 @@ KeySwitcher::modUp(const Polynomial &a) const
     return result;
 }
 
-Polynomial
-KeySwitcher::restrictToExtended(const Polynomial &keyPoly,
-                                size_t level) const
-{
-    const size_t fullLevels = context_.maxLevel();
-    const RnsBasis extBasis = context_.extendedBasis(level);
-    Polynomial out(extBasis, Domain::Eval);
-    for (size_t i = 0; i < level; ++i)
-        out.limb(i) = keyPoly.limb(i);
-    for (size_t i = 0; i < context_.alpha(); ++i)
-        out.limb(level + i) = keyPoly.limb(fullLevels + i);
-    return out;
-}
-
 std::pair<Polynomial, Polynomial>
 KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
                      const EvalKey &evk) const
@@ -83,14 +69,41 @@ KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
     ANAHEIM_ASSERT(digits.size() <= evk.dnum(),
                    "more digits than evk provides");
     const size_t level = digits[0].limbCount() - context_.alpha();
+    const size_t maxLevel = context_.maxLevel();
     const RnsBasis extBasis = context_.extendedBasis(level);
+    const size_t keyLimbs = context_.qpBasis().size();
+    for (size_t j = 0; j < digits.size(); ++j) {
+        ANAHEIM_ASSERT(digits[j].domain() == Domain::Eval,
+                       "KeyMult expects Eval digits");
+        ANAHEIM_ASSERT(digits[j].basis().primes() == extBasis.primes(),
+                       "digit ", j, " is not on the extended basis Q_",
+                       level, " || P");
+        ANAHEIM_ASSERT(evk.b[j].limbCount() == keyLimbs &&
+                           evk.a[j].limbCount() == keyLimbs,
+                       "evk digit ", j, " is not over the full QP basis");
+    }
 
+    // One task per extended limb streams each key limb once, read in
+    // place from the full-QP key (Q limbs map 1:1, P limbs sit after
+    // all maxLevel Q limbs). Digits accumulate into both outputs in
+    // index order, so the bits do not depend on the thread count.
     Polynomial d0(extBasis, Domain::Eval);
     Polynomial d1(extBasis, Domain::Eval);
-    for (size_t j = 0; j < digits.size(); ++j) {
-        d0.macEq(digits[j], restrictToExtended(evk.b[j], level));
-        d1.macEq(digits[j], restrictToExtended(evk.a[j], level));
-    }
+    const kernels::KernelOps &ops = kernels::active();
+    parallelFor(0, extBasis.size(), [&](size_t i) {
+        const size_t keyIdx = i < level ? i : maxLevel + (i - level);
+        const Barrett &barrett = extBasis.table(i).barrett();
+        uint64_t *acc0 = d0.limb(i).data();
+        uint64_t *acc1 = d1.limb(i).data();
+        const size_t n = d0.limb(i).size();
+        for (size_t j = 0; j < digits.size(); ++j) {
+            const uint64_t *digit = digits[j].limb(i).data();
+            ops.macBarrett(acc0, digit, evk.b[j].limb(keyIdx).data(), n,
+                           barrett);
+            ops.macBarrett(acc1, digit, evk.a[j].limb(keyIdx).data(), n,
+                           barrett);
+        }
+    });
     return {std::move(d0), std::move(d1)};
 }
 

@@ -33,7 +33,9 @@ class KeySwitcher
 
     /**
      * Element-wise accumulation sum_j digits[j] * evk_j over the
-     * extended basis; returns the (d0, d1) pair.
+     * extended basis; returns the (d0, d1) pair. The digits must be
+     * ModUp output (Eval domain, Q_level || P); the key limbs are read
+     * in place from the full-QP evk.
      */
     std::pair<Polynomial, Polynomial> keyMult(
         const std::vector<Polynomial> &digits, const EvalKey &evk) const;
@@ -44,10 +46,6 @@ class KeySwitcher
     /** Full keyswitch of `a` under `evk`: ModUp, KeyMult, ModDown. */
     std::pair<Polynomial, Polynomial> keySwitch(const Polynomial &a,
                                                 const EvalKey &evk) const;
-
-    /** Restrict an evk polynomial (over full QP) to Q_level || P. */
-    Polynomial restrictToExtended(const Polynomial &keyPoly,
-                                  size_t level) const;
 
   private:
     const CkksContext &context_;

@@ -120,6 +120,66 @@ TEST_F(EvaluatorTest, AddAlignsMismatchedLevels)
     EXPECT_LT(maxError(decrypt(sum), expect), 1e-5);
 }
 
+TEST_F(EvaluatorTest, SameLevelPathMatchesLevelMatchingPath)
+{
+    // Operands one level apart take the align/match path; dropping the
+    // higher one by hand first takes the same-level path. Both must
+    // produce the same bits.
+    const auto relin = keygen_.makeRelinKey();
+    const size_t low = context_.maxLevel() - 1;
+    const auto x = encrypt(randomMessage(30));
+    const auto y = evaluator_.dropToLevel(encrypt(randomMessage(31)), low);
+    const auto xLow = evaluator_.dropToLevel(x, low);
+
+    const auto expectSame = [](const Ciphertext &a, const Ciphertext &b) {
+        EXPECT_EQ(a.level, b.level);
+        EXPECT_EQ(a.scale, b.scale);
+        EXPECT_TRUE(a.b == b.b);
+        EXPECT_TRUE(a.a == b.a);
+    };
+    expectSame(evaluator_.multiply(x, y, relin),
+               evaluator_.multiply(xLow, y, relin));
+    expectSame(evaluator_.multiply(y, x, relin),
+               evaluator_.multiply(y, xLow, relin));
+    expectSame(evaluator_.add(x, y), evaluator_.add(xLow, y));
+    expectSame(evaluator_.sub(x, y), evaluator_.sub(xLow, y));
+    expectSame(evaluator_.sub(y, x), evaluator_.sub(y, xLow));
+}
+
+TEST_F(EvaluatorTest, SameLevelAddIsComponentwiseSum)
+{
+    const auto x = encrypt(randomMessage(32));
+    const auto y = encrypt(randomMessage(33));
+    const auto sum = evaluator_.add(x, y);
+    const auto diff = evaluator_.sub(x, y);
+    EXPECT_EQ(sum.level, x.level);
+    EXPECT_EQ(sum.scale, x.scale);
+    EXPECT_TRUE(sum.b == x.b + y.b);
+    EXPECT_TRUE(sum.a == x.a + y.a);
+    EXPECT_TRUE(diff.b == x.b - y.b);
+    EXPECT_TRUE(diff.a == x.a - y.a);
+}
+
+TEST_F(EvaluatorTest, SameLevelScaleMismatchStillAligns)
+{
+    // A scale gap beyond the tolerance at equal levels must not take
+    // the in-place path: alignScales retargets x, which costs a level.
+    const auto u = randomMessage(34);
+    const auto v = randomMessage(35);
+    const auto x = encrypt(u);
+    auto y = encrypt(v);
+    y.scale *= 1.0 + 1e-6;
+    ASSERT_EQ(x.level, y.level);
+
+    const auto sum = evaluator_.add(x, y);
+    EXPECT_EQ(sum.level, x.level - 1);
+    EXPECT_NEAR(sum.scale, y.scale, y.scale * 1e-9);
+    auto expect = u;
+    for (size_t i = 0; i < expect.size(); ++i)
+        expect[i] += v[i];
+    EXPECT_LT(maxError(decrypt(sum), expect), 1e-5);
+}
+
 TEST_F(EvaluatorTest, PMultMultipliesByPlaintext)
 {
     const auto u = randomMessage(9);

@@ -306,15 +306,24 @@ TEST_F(ParallelDeterminismTest, KeySwitchMatchesSerial)
     KeyGenerator keygen(context_, 7);
     const EvalKey evk = keygen.makeRelinKey();
     const KeySwitcher switcher(context_);
-    const auto a = randomPolynomial(context_.qBasis(), 31, Domain::Eval);
 
-    setParallelThreads(1);
-    const auto [d0s, d1s] = switcher.keySwitch(a, evk);
-    setParallelThreads(4);
-    const auto [d0p, d1p] = switcher.keySwitch(a, evk);
+    // Full basis, and two levels down where KeyMult's per-limb tasks
+    // read the key's P limbs at an offset.
+    const size_t maxLevel = context_.maxLevel();
+    for (const size_t level : {maxLevel, maxLevel - 2}) {
+        SCOPED_TRACE(testing::Message() << "level " << level);
+        const auto a = randomPolynomial(context_.levelBasis(level),
+                                        31 + maxLevel - level,
+                                        Domain::Eval);
 
-    EXPECT_TRUE(d0s == d0p);
-    EXPECT_TRUE(d1s == d1p);
+        setParallelThreads(1);
+        const auto [d0s, d1s] = switcher.keySwitch(a, evk);
+        setParallelThreads(4);
+        const auto [d0p, d1p] = switcher.keySwitch(a, evk);
+
+        EXPECT_TRUE(d0s == d0p);
+        EXPECT_TRUE(d1s == d1p);
+    }
 }
 
 TEST_F(ParallelDeterminismTest, DftFactorBuildMatchesSerial)

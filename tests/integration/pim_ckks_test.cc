@@ -70,31 +70,39 @@ TEST_F(PimCkksIntegration, KeyMultOnPimMatchesKeySwitcher)
     // The paper's centerpiece offload: KeyMult = PAccum<D> per limb.
     const EvalKey evk = keygen_.makeRelinKey();
     const KeySwitcher sw(context_);
-    const size_t level = context_.maxLevel();
-    const Polynomial a = randomPoly(context_.levelBasis(level));
+    const size_t maxLevel = context_.maxLevel();
 
-    const auto digits = sw.modUp(a);
-    const auto [d0, d1] = sw.keyMult(digits, evk);
+    // Below maxLevel the extended limb i of Q_level || P reads key limb
+    // i for the Q part but maxLevel + (i - level) for the P part.
+    for (const size_t level : {maxLevel, maxLevel - 2}) {
+        SCOPED_TRACE(testing::Message() << "level " << level);
+        const Polynomial a = randomPoly(context_.levelBasis(level));
+        const auto digits = sw.modUp(a);
+        const auto [d0, d1] = sw.keyMult(digits, evk);
 
-    // Re-execute the accumulation limb-by-limb on the functional PIM
-    // unit and demand bit-exact agreement.
-    const RnsBasis extBasis = context_.extendedBasis(level);
-    for (size_t limb = 0; limb < extBasis.size(); ++limb) {
-        const PimFunctionalUnit unit(extBasis.prime(limb));
-        std::vector<PimVector> aOps, bOps, pOps;
-        for (size_t j = 0; j < digits.size(); ++j) {
-            const Polynomial keyB = sw.restrictToExtended(evk.b[j], level);
-            const Polynomial keyA = sw.restrictToExtended(evk.a[j], level);
-            aOps.push_back(toPim(keyB.limb(limb)));  // -> x = d0
-            bOps.push_back(toPim(keyA.limb(limb)));  // -> y = d1
-            pOps.push_back(toPim(digits[j].limb(limb)));
-        }
-        const auto [x, y] = unit.pAccum(aOps, bOps, pOps);
-        for (size_t c = 0; c < x.size(); ++c) {
-            ASSERT_EQ(static_cast<uint64_t>(x[c]), d0.limb(limb)[c])
-                << "limb " << limb << " coeff " << c;
-            ASSERT_EQ(static_cast<uint64_t>(y[c]), d1.limb(limb)[c])
-                << "limb " << limb << " coeff " << c;
+        // Re-execute the accumulation limb-by-limb on the functional
+        // PIM unit, reading the full-QP key directly, and demand
+        // bit-exact agreement.
+        const RnsBasis extBasis = context_.extendedBasis(level);
+        for (size_t limb = 0; limb < extBasis.size(); ++limb) {
+            const size_t keyLimb =
+                limb < level ? limb : maxLevel + (limb - level);
+            ASSERT_EQ(context_.qpBasis().prime(keyLimb),
+                      extBasis.prime(limb));
+            const PimFunctionalUnit unit(extBasis.prime(limb));
+            std::vector<PimVector> aOps, bOps, pOps;
+            for (size_t j = 0; j < digits.size(); ++j) {
+                aOps.push_back(toPim(evk.b[j].limb(keyLimb)));  // -> x = d0
+                bOps.push_back(toPim(evk.a[j].limb(keyLimb)));  // -> y = d1
+                pOps.push_back(toPim(digits[j].limb(limb)));
+            }
+            const auto [x, y] = unit.pAccum(aOps, bOps, pOps);
+            for (size_t c = 0; c < x.size(); ++c) {
+                ASSERT_EQ(static_cast<uint64_t>(x[c]), d0.limb(limb)[c])
+                    << "limb " << limb << " coeff " << c;
+                ASSERT_EQ(static_cast<uint64_t>(y[c]), d1.limb(limb)[c])
+                    << "limb " << limb << " coeff " << c;
+            }
         }
     }
 }
